@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 var epoch = time.Date(2015, 6, 25, 0, 0, 0, 0, time.UTC)
@@ -108,6 +110,28 @@ func TestSMTPDotStuffing(t *testing.T) {
 	}
 	if got := st.All()[0].Body; got != "line1\n.leading dot" {
 		t.Fatalf("body = %q", got)
+	}
+}
+
+// TestSMTPDataBounded: a DATA payload is read inside its command, so
+// it shares the command's wire.MaxFrame budget. A payload under the
+// budget is stored; one over it drops the session with nothing stored.
+func TestSMTPDataBounded(t *testing.T) {
+	envelope := []string{"HELO x", "MAIL FROM:<a@x>", "RCPT TO:<b@y>", "DATA"}
+	line := "spam spam spam spam\r\n"
+	fits := strings.Repeat(line, (wire.MaxFrame-len("DATA\r\n")-len(".\r\n"))/len(line))
+	st, addr := newServer(t)
+	if err := rawSession(addr, envelope, fits+".", "QUIT"); err != nil {
+		t.Fatalf("payload under the budget: %v", err)
+	}
+	if st.Count() != 1 {
+		t.Fatalf("count = %d after a payload under the budget, want 1", st.Count())
+	}
+	if err := rawSession(addr, envelope, fits+line+".", "QUIT"); err == nil {
+		t.Fatal("payload over the budget was answered")
+	}
+	if st.Count() != 1 {
+		t.Fatalf("count = %d, an over-budget payload was stored", st.Count())
 	}
 }
 

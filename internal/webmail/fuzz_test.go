@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/simtime"
+	"repro/internal/wire"
 )
 
 // byteConn is a scripted net.Conn: reads come from a fixed request
@@ -88,7 +89,7 @@ func FuzzServerConn(f *testing.F) {
 		svc := fuzzService(t)
 		srv := NewServer(svc)
 		conn := &byteConn{in: bytes.NewReader(data)}
-		srv.serveConn(&srvConn{Conn: conn})
+		srv.serveConn(wire.NewConn(conn))
 
 		// Every reply frame the server produced must decode as a
 		// Response — half-written or interleaved frames would desync
