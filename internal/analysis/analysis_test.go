@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/corpus"
 	"repro/internal/geo"
 	"repro/internal/rng"
 )
@@ -144,7 +145,7 @@ func TestTimeToFirstAccessAndTimeline(t *testing.T) {
 func TestTFIDFSharedTermsNonZero(t *testing.T) {
 	read := []string{"bitcoin", "bitcoin", "payment", "transfer"}
 	all := []string{"transfer", "transfer", "company", "energy", "payment"}
-	r := ComputeTFIDF(read, all)
+	r := ComputeTFIDF(corpus.TermCounts(read), corpus.TermCounts(all))
 	if r.ReadWeight["transfer"] == 0 || r.AllWeight["transfer"] == 0 {
 		t.Fatal("shared term zeroed out (need smoothed idf)")
 	}
@@ -170,7 +171,7 @@ func TestTFIDFWeightsBounded(t *testing.T) {
 		if len(ra) == 0 || len(rb) == 0 {
 			return true
 		}
-		r := ComputeTFIDF(ra, rb)
+		r := ComputeTFIDF(corpus.TermCounts(ra), corpus.TermCounts(rb))
 		for _, w := range r.ReadWeight {
 			if w < 0 || w > 1+1e-9 {
 				return false
@@ -191,7 +192,7 @@ func TestTFIDFWeightsBounded(t *testing.T) {
 func TestTopCorpusRanksCorpusWords(t *testing.T) {
 	all := []string{"company", "company", "company", "energy", "energy", "power"}
 	read := []string{"bitcoin"}
-	r := ComputeTFIDF(read, all)
+	r := ComputeTFIDF(corpus.TermCounts(read), corpus.TermCounts(all))
 	top := r.TopCorpus(1)
 	if top[0].Term != "company" {
 		t.Fatalf("top corpus = %+v", top)

@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -34,22 +34,40 @@ type CvMResult struct {
 // CvMStatistic computes Anderson's two-sample T for samples x and y.
 // It panics if either sample is empty.
 func CvMStatistic(x, y []float64) float64 {
+	return cvmStatistic(x, y, make([]cvmObs, 0, len(x)+len(y)))
+}
+
+// cvmObs is one pooled observation, tagged with its sample.
+type cvmObs struct {
+	v     float64
+	first bool
+}
+
+// cvmStatistic computes T using pool's capacity as the pooled-sample
+// scratch, so the permutation loop sorts into one reused buffer.
+func cvmStatistic(x, y []float64, pool []cvmObs) float64 {
 	n, m := len(x), len(y)
 	if n == 0 || m == 0 {
 		panic("analysis: CvMStatistic requires non-empty samples")
 	}
-	type obs struct {
-		v     float64
-		first bool
-	}
-	pool := make([]obs, 0, n+m)
+	pool = pool[:0]
 	for _, v := range x {
-		pool = append(pool, obs{v, true})
+		pool = append(pool, cvmObs{v, true})
 	}
 	for _, v := range y {
-		pool = append(pool, obs{v, false})
+		pool = append(pool, cvmObs{v, false})
 	}
-	sort.SliceStable(pool, func(i, j int) bool { return pool[i].v < pool[j].v })
+	// Order by < alone: values that compare neither way (ties, NaNs)
+	// keep their input order, so the rank sums below are stable.
+	slices.SortStableFunc(pool, func(a, b cvmObs) int {
+		switch {
+		case a.v < b.v:
+			return -1
+		case b.v < a.v:
+			return 1
+		}
+		return 0
+	})
 
 	var u float64
 	xi, yj := 0, 0
@@ -77,19 +95,16 @@ func CvMTest(x, y []float64, resamples int, seed int64) CvMResult {
 	if resamples <= 0 {
 		resamples = 2000
 	}
-	t0 := CvMStatistic(x, y)
+	obs := make([]cvmObs, 0, len(x)+len(y))
+	t0 := cvmStatistic(x, y, obs)
 	src := rng.New(seed)
 	pool := make([]float64, 0, len(x)+len(y))
 	pool = append(pool, x...)
 	pool = append(pool, y...)
 	geq := 0
-	px := make([]float64, len(x))
-	py := make([]float64, len(y))
 	for i := 0; i < resamples; i++ {
 		src.Shuffle(len(pool), func(a, b int) { pool[a], pool[b] = pool[b], pool[a] })
-		copy(px, pool[:len(x)])
-		copy(py, pool[len(x):])
-		if CvMStatistic(px, py) >= t0 {
+		if cvmStatistic(pool[:len(x)], pool[len(x):], obs) >= t0 {
 			geq++
 		}
 	}

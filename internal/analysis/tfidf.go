@@ -36,28 +36,26 @@ type TermScore struct {
 	Delta float64 // tfidf_R − tfidf_A
 }
 
-// ComputeTFIDF evaluates the two-document TF-IDF over pre-tokenised
-// documents.
-func ComputeTFIDF(readTokens, allTokens []string) *TFIDFResult {
-	readCounts := corpus.TermCounts(readTokens)
-	allCounts := corpus.TermCounts(allTokens)
-
-	df := make(map[string]int)
-	for t := range readCounts {
-		df[t]++
-	}
-	for t := range allCounts {
-		df[t]++
-	}
+// ComputeTFIDF evaluates the two-document TF-IDF over the term counts
+// of dR and dA. Each document's L2 norm is summed in sorted-term
+// order, so the weights are bit-identical however the counts were
+// gathered.
+func ComputeTFIDF(readCounts, allCounts map[string]int) *TFIDFResult {
 	const nDocs = 2.0
-	idf := func(t string) float64 {
-		return math.Log((1+nDocs)/(1+float64(df[t]))) + 1
-	}
-	weigh := func(counts map[string]int) map[string]float64 {
+	weigh := func(counts, other map[string]int) map[string]float64 {
+		terms := make([]string, 0, len(counts))
+		for t := range counts {
+			terms = append(terms, t)
+		}
+		sort.Strings(terms)
 		w := make(map[string]float64, len(counts))
 		var norm float64
-		for t, c := range counts {
-			v := float64(c) * idf(t)
+		for _, t := range terms {
+			df := 1.0
+			if _, shared := other[t]; shared {
+				df = 2
+			}
+			v := float64(counts[t]) * (math.Log((1+nDocs)/(1+df)) + 1)
 			w[t] = v
 			norm += v * v
 		}
@@ -70,8 +68,8 @@ func ComputeTFIDF(readTokens, allTokens []string) *TFIDFResult {
 		return w
 	}
 	return &TFIDFResult{
-		ReadWeight: weigh(readCounts),
-		AllWeight:  weigh(allCounts),
+		ReadWeight: weigh(readCounts, allCounts),
+		AllWeight:  weigh(allCounts, readCounts),
 	}
 }
 
@@ -142,6 +140,8 @@ func KeywordInference(ds *Dataset, dropWords []string) *TFIDFResult {
 // disjoint across shards, so shard event lists simply concatenate).
 // TF-IDF weighs term *counts*, so the event order never matters and
 // the result is identical to the dataset path over the same events.
+// Subjects and bodies stream straight into one term counter per
+// document: memory is O(vocabulary), not O(tokens).
 func KeywordInferenceFromEvents(reads []ReadEvent, drafts []DraftEvent, contents ContentsView, dropWords []string) *TFIDFResult {
 	opts := corpus.DefaultTokenizeOptions()
 	if len(dropWords) > 0 {
@@ -157,10 +157,10 @@ func KeywordInferenceFromEvents(reads []ReadEvent, drafts []DraftEvent, contents
 	// Subject and body tokenize separately here; the tokenizer splits
 	// on the newline that used to join them, so the term counts — the
 	// only thing TF-IDF consumes — are unchanged.
-	var readTokens, allTokens []string
+	dR, dA := corpus.NewTermCounter(opts), corpus.NewTermCounter(opts)
 	contents.Each(func(_ string, _ int64, subject, body string) {
-		allTokens = append(allTokens, corpus.Tokenize(subject, opts)...)
-		allTokens = append(allTokens, corpus.Tokenize(body, opts)...)
+		dA.Add(subject)
+		dA.Add(body)
 	})
 	// Attacker-authored drafts are known only from the script's draft
 	// copies; index them so later reads of those drafts contribute
@@ -180,14 +180,14 @@ func KeywordInferenceFromEvents(reads []ReadEvent, drafts []DraftEvent, contents
 	}
 	for _, r := range reads {
 		if subject, body, ok := contents.Message(r.Account, r.Message); ok {
-			readTokens = append(readTokens, corpus.Tokenize(subject, opts)...)
-			readTokens = append(readTokens, corpus.Tokenize(body, opts)...)
+			dR.Add(subject)
+			dR.Add(body)
 		} else if body, ok := draftBodies[r.Account][r.Message]; ok {
-			readTokens = append(readTokens, corpus.Tokenize(body, opts)...)
+			dR.Add(body)
 		}
 	}
 	for _, d := range drafts {
-		readTokens = append(readTokens, corpus.Tokenize(d.Body, opts)...)
+		dR.Add(d.Body)
 	}
-	return ComputeTFIDF(readTokens, allTokens)
+	return ComputeTFIDF(dR.Counts(), dA.Counts())
 }

@@ -1,8 +1,8 @@
 package corpus
 
 import (
-	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenizeOptions controls the preprocessing applied before TF-IDF,
@@ -38,67 +38,66 @@ var headerWords = map[string]bool{
 	"localhost": true, "unsubscribe": true,
 }
 
-// Tokenize splits text into lowercase word tokens under the given
-// options. Tokens keep internal apostrophes/hyphens stripped; anything
-// that is not a letter or digit separates tokens.
-func Tokenize(text string, opts TokenizeOptions) []string {
-	if opts.MinLength <= 0 {
-		opts.MinLength = 1
+// scan is the one tokenizer. It walks text, lowercases each maximal
+// run of letters and digits into buf and hands every token that
+// survives the MinLength (in runes), header-word and DropWords filters
+// to emit. emit must not retain its argument: buf is reused for the
+// next token. scan returns buf so callers can keep its capacity; the
+// filters are map lookups keyed by string(tok), which do not allocate.
+func scan(text string, opts TokenizeOptions, buf []byte, emit func(tok []byte)) []byte {
+	minLength := opts.MinLength
+	if minLength <= 0 {
+		minLength = 1
 	}
-	var out []string
-	var b strings.Builder
+	buf = buf[:0]
+	runes := 0
 	flush := func() {
-		if b.Len() == 0 {
-			return
+		if runes >= minLength &&
+			(opts.KeepHeaderWords || !headerWords[string(buf)]) &&
+			!opts.DropWords[string(buf)] {
+			emit(buf)
 		}
-		tok := b.String()
-		b.Reset()
-		if len([]rune(tok)) < opts.MinLength {
-			return
-		}
-		if !opts.KeepHeaderWords && headerWords[tok] {
-			return
-		}
-		if opts.DropWords != nil && opts.DropWords[tok] {
-			return
-		}
-		out = append(out, tok)
+		buf = buf[:0]
+		runes = 0
 	}
-	for _, r := range text {
+	for i := 0; i < len(text); {
+		if c := text[i]; c < utf8.RuneSelf {
+			i++
+			switch {
+			case 'a' <= c && c <= 'z' || '0' <= c && c <= '9':
+				buf = append(buf, c)
+				runes++
+			case 'A' <= c && c <= 'Z':
+				buf = append(buf, c+('a'-'A'))
+				runes++
+			case runes > 0:
+				flush()
+			}
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(text[i:])
+		i += size
 		switch {
 		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			b.WriteRune(unicode.ToLower(r))
-		default:
+			buf = utf8.AppendRune(buf, unicode.ToLower(r))
+			runes++
+		case runes > 0:
 			flush()
 		}
 	}
-	flush()
-	return out
+	if runes > 0 {
+		flush()
+	}
+	return buf
 }
 
-// TokenizeMessages tokenizes subject and body of every message into a
-// single token stream — the "document" unit of the paper's two-document
-// corpus (all emails vs. emails read by attackers).
-func TokenizeMessages(msgs []Message, opts TokenizeOptions) []string {
+// Tokenize splits text into lowercase word tokens under the given
+// options. Anything that is not a letter or digit separates tokens.
+// It materialises every token; TermCounter counts the same tokens
+// without doing so.
+func Tokenize(text string, opts TokenizeOptions) []string {
 	var out []string
-	for _, m := range msgs {
-		out = append(out, Tokenize(m.Subject, opts)...)
-		out = append(out, Tokenize(m.Body, opts)...)
-	}
-	return out
-}
-
-// Vocabulary returns the distinct tokens of a stream, in first-seen
-// order.
-func Vocabulary(tokens []string) []string {
-	seen := make(map[string]bool, len(tokens))
-	var out []string
-	for _, t := range tokens {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
+	scan(text, opts, nil, func(tok []byte) { out = append(out, string(tok)) })
 	return out
 }
 
@@ -109,4 +108,42 @@ func TermCounts(tokens []string) map[string]int {
 		counts[t]++
 	}
 	return counts
+}
+
+// TermCounter tallies the term frequencies of a document fed to it
+// text by text, straight from the tokenizer: memory is O(vocabulary),
+// and a term allocates only the first time it is seen.
+type TermCounter struct {
+	opts   TokenizeOptions
+	buf    []byte
+	index  map[string]int // term → position in counts
+	counts []int
+}
+
+// NewTermCounter returns an empty counter tokenizing under opts.
+func NewTermCounter(opts TokenizeOptions) *TermCounter {
+	return &TermCounter{opts: opts, index: make(map[string]int)}
+}
+
+// Add counts every token of text.
+func (c *TermCounter) Add(text string) {
+	c.buf = scan(text, c.opts, c.buf, c.count)
+}
+
+func (c *TermCounter) count(tok []byte) {
+	if i, ok := c.index[string(tok)]; ok {
+		c.counts[i]++
+		return
+	}
+	c.index[string(tok)] = len(c.counts)
+	c.counts = append(c.counts, 1)
+}
+
+// Counts returns the tallies as a term → count map.
+func (c *TermCounter) Counts() map[string]int {
+	out := make(map[string]int, len(c.index))
+	for t, i := range c.index {
+		out[t] = c.counts[i]
+	}
+	return out
 }
