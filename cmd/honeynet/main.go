@@ -5,8 +5,8 @@
 // Usage:
 //
 //	honeynet [-seed N] [-days N] [-experiment id] [-resamples N]
-//	         [-shards N] [-scale K] [-stream=bool] [-dirty-tracking=bool]
-//	         [-setup-seed N] [-checkpoint file] [-resume file]
+//	         [-shards N] [-scale K] [-setup-seed N]
+//	         [-checkpoint file] [-resume file]
 //	         [-cpuprofile file] [-memprofile file]
 //	honeynet -scenario <name|file> [-out dir] [...]
 //	honeynet -matrix <name|file>[,<name|file>...] [-out dir] [-workers N]
@@ -18,30 +18,27 @@
 // races provider-side leak detection (time-to-detection) against the
 // attackers' time-to-exploit.
 //
+// -days sets the observation window and must be at least 1.
 // -shards partitions the run across N parallel schedulers (0 selects
 // one per CPU); the output for a fixed seed is identical at any shard
 // count. A shard count larger than the deployment's account count is
-// rejected up front with a non-zero exit. -cpuprofile/-memprofile
-// write pprof profiles of the run (the heap profile is taken post-GC
-// at exit, so it shows live fleet state, not transient garbage). -scale replicates the Table 1 plan K×, simulating 100·K
-// honey accounts. -stream (default true) classifies accesses on the
-// fly inside each shard and reports from merged per-shard aggregates;
-// -stream=false selects the legacy path that merges every access
-// record into one dataset before analysing. Both render byte-identical
-// reports for the same seed. -dirty-tracking (default true)
-// version-gates the activity-page scraper so quiet accounts are
-// skipped without a login; -dirty-tracking=false restores the
-// scrape-everything behaviour (identical reports, much slower at
-// scale).
+// rejected up front with a non-zero exit. -scale replicates the
+// Table 1 plan K×, simulating 100·K honey accounts. Each shard
+// classifies its accesses as the run advances, and the report renders
+// from the merged per-shard aggregates.
+//
+// -cpuprofile/-memprofile write pprof profiles of the run (the heap
+// profile is taken post-GC at exit, so it shows live fleet state, not
+// transient garbage).
 //
 // -checkpoint freezes the experiment at its post-setup boundary
 // (accounts created, mailboxes seeded, monitoring armed, nothing run)
 // into a deterministic snapshot file, then continues the run.
 // -resume loads such a snapshot instead of re-simulating setup; the
-// post-fork flags (-seed, -days, -shards, -stream, -dirty-tracking)
-// may be re-specified to diverge from the checkpointed run —
-// -setup-seed N gives setup its own seed stream so different -seed
-// values can fork the same accounts. A resumed run renders
+// post-fork flags (-seed, -days, -shards) may be re-specified to
+// diverge from the checkpointed run — -setup-seed N gives setup its
+// own seed stream so different -seed values can fork the same
+// accounts. A resumed run renders
 // byte-identically to an uninterrupted one (TestSnapshotInvariance).
 //
 // -scenario runs one declarative experiment variant (an embedded
@@ -84,8 +81,6 @@ func main() {
 		resamples    = flag.Int("resamples", 2000, "Cramér–von Mises permutation resamples")
 		shards       = flag.Int("shards", 1, "parallel shard schedulers (0 = one per CPU; output is shard-count invariant)")
 		scale        = flag.Int("scale", 1, "replicate the deployment plan K× (simulates 100·K accounts for Table 1)")
-		stream       = flag.Bool("stream", true, "classify accesses on the fly per shard and report from merged aggregates (false = legacy full-dataset merge)")
-		dirty        = flag.Bool("dirty-tracking", true, "version-gate the activity-page scraper so quiet accounts cost ~zero per tick (false = log into every account every tick; identical reports)")
 		scen         = flag.String("scenario", "", "run one scenario (preset name or TOML/JSON file) and print its full report")
 		matrix       = flag.String("matrix", "", "comma-separated scenarios to run concurrently and compare (first is the baseline column)")
 		outDir       = flag.String("out", "", "directory for per-scenario JSON aggregate artifacts")
@@ -108,6 +103,9 @@ func main() {
 	}
 	if *scale < 1 {
 		*scale = 1
+	}
+	if err := validateDays(*days); err != nil {
+		log.Fatal(err)
 	}
 	if err := validateWorkers("workers", *workers); err != nil {
 		log.Fatal(err)
@@ -167,10 +165,6 @@ func main() {
 	}
 
 	var exp *honeynet.Experiment
-	mode := "streaming"
-	if !*stream {
-		mode = "batch"
-	}
 	start := time.Now()
 	if *resumeFile != "" {
 		if *checkpoint != "" {
@@ -207,10 +201,6 @@ func main() {
 				cfg.Shards = *shards
 			case "scale":
 				cfg.ScaleFactor = *scale
-			case "stream":
-				cfg.DisableStreaming = !*stream
-			case "dirty-tracking":
-				cfg.DisableDirtyTracking = !*dirty
 			case "defender-cadence":
 				cfg.DefenderCadence = *defCadence
 			case "c3-bucket-bits":
@@ -226,15 +216,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// The snapshot (possibly flag-overridden) decides the engine
-		// mode from here on, not the -stream flag default.
-		if cfg.DisableStreaming {
-			mode = "batch"
-		} else {
-			mode = "streaming"
-		}
-		fmt.Fprintf(os.Stderr, "resumed %d accounts from %s (seed %d, %d shard(s), %s)...\n",
-			len(st.Accounts), *resumeFile, cfg.Seed, exp.Shards(), mode)
+		fmt.Fprintf(os.Stderr, "resumed %d accounts from %s (seed %d, %d shard(s))...\n",
+			len(st.Accounts), *resumeFile, cfg.Seed, exp.Shards())
 		if err := exp.Leak(); err != nil {
 			log.Fatal(err)
 		}
@@ -243,17 +226,15 @@ func main() {
 		}
 	} else {
 		cfg := honeynet.Config{
-			Seed:                 *seed,
-			SetupSeed:            *setupSeed,
-			SetupWorkers:         *setupWorkers,
-			Duration:             time.Duration(*days) * 24 * time.Hour,
-			Shards:               *shards,
-			ScaleFactor:          *scale,
-			DisableStreaming:     !*stream,
-			DisableDirtyTracking: !*dirty,
-			DefenderCadence:      *defCadence,
-			C3BucketBits:         *c3Bits,
-			C3Variants:           *c3Variants,
+			Seed:            *seed,
+			SetupSeed:       *setupSeed,
+			SetupWorkers:    *setupWorkers,
+			Duration:        time.Duration(*days) * 24 * time.Hour,
+			Shards:          *shards,
+			ScaleFactor:     *scale,
+			DefenderCadence: *defCadence,
+			C3BucketBits:    *c3Bits,
+			C3Variants:      *c3Variants,
 		}
 		if err := validateShards(*shards, honeynet.PlannedAccounts(cfg)); err != nil {
 			log.Fatal(err)
@@ -263,8 +244,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "running %d-day deployment (seed %d, %d shard(s), scale %d×, %s)...\n",
-			*days, *seed, exp.Shards(), *scale, mode)
+		fmt.Fprintf(os.Stderr, "running %d-day deployment (seed %d, %d shard(s), scale %d×)...\n",
+			*days, *seed, exp.Shards(), *scale)
 		if err := exp.Setup(); err != nil {
 			log.Fatal(err)
 		}
@@ -304,75 +285,38 @@ func main() {
 		return report.CaseStudies(exp.Blackmailers(), draftCopies, len(exp.AllInquiries()))
 	}
 
-	// Render from the experiment's effective config: a resumed run's
-	// engine mode and seed come from the snapshot (determinism
-	// guarantee #5 — the resumed report must byte-match the
-	// uninterrupted run), not from this process's flag defaults.
-	runCfg := exp.Config()
-	sigSeed := runCfg.Seed
+	// Render with the experiment's effective seed: a resumed run's
+	// seed comes from the snapshot (determinism guarantee #5 — the
+	// resumed report must byte-match the uninterrupted run), not from
+	// this process's flag defaults.
+	sigSeed := exp.Config().Seed
 
-	var sections map[string]func() string
-	if !runCfg.DisableStreaming {
-		// Streaming: every shard classified its accesses as the run
-		// advanced; merge the per-shard aggregates (O(shards)) and
-		// render from them — no merged dataset is ever materialised.
-		agg, err := exp.Aggregates()
-		if err != nil {
-			log.Fatal(err)
-		}
-		sections = map[string]func() string{
-			"overview":  func() string { return report.Overview(agg.Overview()) },
-			"table1":    table1,
-			"fig1":      func() string { return report.Figure1Sketches(agg.Durations) },
-			"fig2":      func() string { return report.Figure2(agg.PerOutlet) },
-			"fig3":      func() string { return report.Figure3Sketches(agg.TimeToAccess) },
-			"fig4":      func() string { return report.Figure4Buckets(agg.Timeline, agg.TimelineMax) },
-			"fig5a":     func() string { return report.Figure5("UK/London", agg.MedianRadii(analysis.HintUK)) },
-			"fig5b":     func() string { return report.Figure5("US/Pontiac", agg.MedianRadii(analysis.HintUS)) },
-			"cvm":       func() string { return report.Significance(agg.LocationSignificance(*resamples, sigSeed)) },
-			"sysconfig": func() string { return report.SystemConfig(agg.ConfigRows()) },
-			"table2": func() string {
-				r := agg.KeywordInference(exp.SeededContents(), exp.DropWords())
-				return report.Table2(r.TopSearched(10), r.TopCorpus(10))
-			},
-			"cases": func() string { return cases(len(agg.Drafts)) },
-			"sophistication": func() string {
-				return report.Sophistication(agg.ConfigRows(), agg.LocationSignificance(*resamples, sigSeed))
-			},
-		}
-	} else {
-		ds := exp.Dataset()
-		cs := analysis.Classify(ds, analysis.ClassifyOptions{})
-		sections = map[string]func() string{
-			"overview":  func() string { return report.Overview(analysis.Summarize(ds)) },
-			"table1":    table1,
-			"fig1":      func() string { return report.Figure1(analysis.DurationsByClass(cs)) },
-			"fig2":      func() string { return report.Figure2(analysis.ByOutlet(cs)) },
-			"fig3":      func() string { return report.Figure3(analysis.TimeToFirstAccess(ds)) },
-			"fig4":      func() string { return report.Figure4(analysis.Timeline(ds)) },
-			"fig5a":     func() string { return report.Figure5("UK/London", analysis.MedianRadii(ds, analysis.HintUK)) },
-			"fig5b":     func() string { return report.Figure5("US/Pontiac", analysis.MedianRadii(ds, analysis.HintUS)) },
-			"cvm":       func() string { return report.Significance(analysis.LocationSignificance(ds, *resamples, sigSeed)) },
-			"sysconfig": func() string { return report.SystemConfig(analysis.SystemConfiguration(ds)) },
-			"table2": func() string {
-				r := analysis.KeywordInference(ds, exp.DropWords())
-				return report.Table2(r.TopSearched(10), r.TopCorpus(10))
-			},
-			"cases": func() string {
-				drafts := 0
-				for _, a := range ds.Actions {
-					if a.Kind == analysis.ActionDraft {
-						drafts++
-					}
-				}
-				return cases(drafts)
-			},
-			"sophistication": func() string {
-				return report.Sophistication(
-					analysis.SystemConfiguration(ds),
-					analysis.LocationSignificance(ds, *resamples, sigSeed))
-			},
-		}
+	// Every shard classified its accesses as the run advanced; merge
+	// the per-shard aggregates (O(shards)) and render from them — no
+	// merged dataset is ever materialised.
+	agg, err := exp.Aggregates()
+	if err != nil {
+		log.Fatal(err)
+	}
+	sections := map[string]func() string{
+		"overview":  func() string { return report.Overview(agg.Overview()) },
+		"table1":    table1,
+		"fig1":      func() string { return report.Figure1Sketches(agg.Durations) },
+		"fig2":      func() string { return report.Figure2(agg.PerOutlet) },
+		"fig3":      func() string { return report.Figure3Sketches(agg.TimeToAccess) },
+		"fig4":      func() string { return report.Figure4Buckets(agg.Timeline, agg.TimelineMax) },
+		"fig5a":     func() string { return report.Figure5("UK/London", agg.MedianRadii(analysis.HintUK)) },
+		"fig5b":     func() string { return report.Figure5("US/Pontiac", agg.MedianRadii(analysis.HintUS)) },
+		"cvm":       func() string { return report.Significance(agg.LocationSignificance(*resamples, sigSeed)) },
+		"sysconfig": func() string { return report.SystemConfig(agg.ConfigRows()) },
+		"table2": func() string {
+			r := agg.KeywordInference(exp.SeededContents(), exp.DropWords())
+			return report.Table2(r.TopSearched(10), r.TopCorpus(10))
+		},
+		"cases": func() string { return cases(len(agg.Drafts)) },
+		"sophistication": func() string {
+			return report.Sophistication(agg.ConfigRows(), agg.LocationSignificance(*resamples, sigSeed))
+		},
 	}
 	order := []string{
 		"overview", "table1", "fig1", "fig2", "fig3", "fig4",
@@ -487,6 +431,19 @@ var errBadWorkers = errors.New("worker counts must be at least 1 (omit the flag 
 func validateWorkers(flagName string, n int) error {
 	if n < 1 {
 		return fmt.Errorf("-%s %d: %w", flagName, n, errBadWorkers)
+	}
+	return nil
+}
+
+// errBadDays rejects observation windows below one day: the engine
+// reads a zero window as "use the default", so -days 0 would silently
+// run the paper's full 236 days.
+var errBadDays = errors.New("the observation window must be at least 1 day (omit -days for the paper's 236)")
+
+// validateDays applies errBadDays to the -days flag.
+func validateDays(days int) error {
+	if days < 1 {
+		return fmt.Errorf("-days %d: %w", days, errBadDays)
 	}
 	return nil
 }

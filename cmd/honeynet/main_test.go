@@ -89,3 +89,33 @@ func TestValidateWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateDays: an observation window below one day is an error
+// naming -days (the engine would otherwise read 0 as its 236-day
+// default); any positive window is accepted.
+func TestValidateDays(t *testing.T) {
+	for _, c := range []struct {
+		days    int
+		wantErr bool
+	}{
+		{1, false},
+		{30, false},
+		{236, false},
+		{0, true},
+		{-7, true},
+	} {
+		err := validateDays(c.days)
+		if (err != nil) != c.wantErr {
+			t.Errorf("validateDays(%d) = %v, wantErr=%v", c.days, err, c.wantErr)
+		}
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, errBadDays) {
+			t.Errorf("validateDays(%d) not wrapped in errBadDays: %v", c.days, err)
+		}
+		if !strings.Contains(err.Error(), "-days") {
+			t.Errorf("error %q does not name -days", err)
+		}
+	}
+}

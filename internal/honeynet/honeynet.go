@@ -60,20 +60,6 @@ type Config struct {
 	// simulating ScaleFactor·100 accounts for the Table 1 plan. Each
 	// replica draws fresh, independent randomness.
 	ScaleFactor int
-	// DisableStreaming turns off the streaming classification
-	// pipeline (see stream.go). By default every shard classifies its
-	// accesses on the fly and Aggregates() merges per-shard aggregates
-	// in O(shards); with streaming disabled only the batch Dataset()
-	// path is available. For a fixed seed both paths render
-	// byte-identical reports.
-	DisableStreaming bool
-	// DisableDirtyTracking turns off the monitor's version-gated
-	// scraper: every scrape tick then logs into every tracked account
-	// and copies the full activity page, whether or not anything
-	// changed (the pre-dirty-tracking behaviour). The observed dataset
-	// and every report are identical either way; the flag exists as an
-	// escape hatch and to measure what dirty tracking saves.
-	DisableDirtyTracking bool
 	// Sites overrides the outlet catalogue credentials are leaked
 	// through (nil selects outlets.DefaultSites, the paper's venues).
 	// The scenario layer uses this to vary leak-exposure dynamics
@@ -126,6 +112,13 @@ type Config struct {
 	// worker count — the knob trades goroutines for cold-start
 	// wall-clock only.
 	SetupWorkers int
+
+	// scrapeEverything turns off the monitor's version gate (see
+	// monitor.Config.DisableVersionGate): every scrape tick logs into
+	// every tracked account. It is the reference the dirty-tracking
+	// invariance test compares the gated scraper against; reports are
+	// identical either way.
+	scrapeEverything bool
 }
 
 // DefaultStart is the paper's leak date, 2015-06-25 (§3.2) — the

@@ -54,8 +54,7 @@ type shard struct {
 	store   *monitor.Store
 	runtime *appscript.Runtime
 	mon     *monitor.Monitor
-	// sc classifies this shard's accesses as the simulation runs
-	// (nil when Config.DisableStreaming is set).
+	// sc classifies this shard's accesses as the simulation runs.
 	sc *analysis.StreamClassifier
 	// c3 is this shard's C3 index fragment, fed at pickup/exfil time
 	// by the shard's own blocks; def is the detection loop over it.
@@ -108,10 +107,8 @@ func newShards(n int, cfg Config, svc *webmail.Service, monEP netsim.Endpoint) (
 			}
 			sh.c3 = frag
 		}
-		if !cfg.DisableStreaming {
-			sh.sc = analysis.NewStreamClassifier(analysis.StreamConfig{})
-			sh.store.SetSink(&streamSink{sc: sh.sc})
-		}
+		sh.sc = analysis.NewStreamClassifier(analysis.StreamConfig{})
+		sh.store.SetSink(&streamSink{sc: sh.sc})
 		sh.runtime = appscript.NewRuntime(svc, sh.sched, sh.store)
 		sh.runtime.UseWheel(sh.wheel)
 		sh.mon = monitor.New(monitor.Config{
@@ -121,7 +118,7 @@ func newShards(n int, cfg Config, svc *webmail.Service, monEP netsim.Endpoint) (
 			Endpoint:           monEP,
 			Cookies:            netsim.NewCookieJarPrefixed(fmt.Sprintf("mon%d", i)),
 			Wheel:              sh.wheel,
-			DisableVersionGate: cfg.DisableDirtyTracking,
+			DisableVersionGate: cfg.scrapeEverything,
 		})
 		shards[i] = sh
 		set.Add(sh.sched)

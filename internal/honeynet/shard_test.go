@@ -186,15 +186,15 @@ func TestShardedLifecycleGuards(t *testing.T) {
 
 // TestDirtyTrackingInvariance is the dirty-tracking contract at the
 // experiment level: the version-gated scraper (skip quiet accounts,
-// pull row deltas) and the scrape-everything escape hatch produce the
+// pull row deltas) and the scrape-everything reference produce the
 // identical merged dataset — the gate only skips work that would have
 // produced no observation, never an observation itself.
 func TestDirtyTrackingInvariance(t *testing.T) {
 	cfg := fastConfig(42)
 	cfg.Shards = 2
-	run := func(disable bool) *analysis.Dataset {
+	run := func(scrapeEverything bool) *analysis.Dataset {
 		c := cfg
-		c.DisableDirtyTracking = disable
+		c.scrapeEverything = scrapeEverything
 		e, err := New(c)
 		if err != nil {
 			t.Fatal(err)

@@ -225,10 +225,8 @@ func (e *Experiment) snapshotMeta() (*snapshot.State, error) {
 			Shards:           len(e.shards),
 			Scale:            cfg.ScaleFactor,
 
-			VisibleScripts:       cfg.VisibleScripts,
-			DisableCaseStudies:   cfg.DisableCaseStudies,
-			DisableStreaming:     cfg.DisableStreaming,
-			DisableDirtyTracking: cfg.DisableDirtyTracking,
+			VisibleScripts:     cfg.VisibleScripts,
+			DisableCaseStudies: cfg.DisableCaseStudies,
 
 			LoginRisk: snapshot.LoginRisk{
 				Enabled:       cfg.LoginRisk.Enabled,
@@ -337,23 +335,21 @@ func Resume(st *snapshot.State) (*Experiment, error) {
 
 // ConfigFromSnapshot rebuilds the runnable core configuration a
 // snapshot records. Callers may override the post-fork fields (Seed,
-// Duration, Shards, engine toggles) before passing the result to
+// Duration, Shards, defender settings) before passing the result to
 // ResumeWith; setup-relevant fields are pinned by the fingerprint.
 func ConfigFromSnapshot(st *snapshot.State) (Config, error) {
 	cfg := Config{
-		Seed:                 st.Config.Seed,
-		SetupSeed:            st.Config.SetupSeed,
-		Start:                time.Unix(0, st.Config.StartNS).UTC(),
-		Duration:             time.Duration(st.Config.DurationNS),
-		MailboxSize:          st.Config.MailboxSize,
-		ScanInterval:         time.Duration(st.Config.ScanIntervalNS),
-		ScrapeInterval:       time.Duration(st.Config.ScrapeIntervalNS),
-		Shards:               st.Config.Shards,
-		ScaleFactor:          st.Config.Scale,
-		VisibleScripts:       st.Config.VisibleScripts,
-		DisableCaseStudies:   st.Config.DisableCaseStudies,
-		DisableStreaming:     st.Config.DisableStreaming,
-		DisableDirtyTracking: st.Config.DisableDirtyTracking,
+		Seed:               st.Config.Seed,
+		SetupSeed:          st.Config.SetupSeed,
+		Start:              time.Unix(0, st.Config.StartNS).UTC(),
+		Duration:           time.Duration(st.Config.DurationNS),
+		MailboxSize:        st.Config.MailboxSize,
+		ScanInterval:       time.Duration(st.Config.ScanIntervalNS),
+		ScrapeInterval:     time.Duration(st.Config.ScrapeIntervalNS),
+		Shards:             st.Config.Shards,
+		ScaleFactor:        st.Config.Scale,
+		VisibleScripts:     st.Config.VisibleScripts,
+		DisableCaseStudies: st.Config.DisableCaseStudies,
 		LoginRisk: webmail.LoginRiskConfig{
 			Enabled:       st.Config.LoginRisk.Enabled,
 			BlockTor:      st.Config.LoginRisk.BlockTor,

@@ -9,15 +9,14 @@ import (
 	"repro/internal/monitor"
 )
 
-// Streaming classification wiring. With streaming enabled (the
-// default), every shard's monitoring pipeline feeds its own
-// analysis.StreamClassifier through a monitor.Sink while the
-// simulation runs; at the end, Aggregates finalises each shard's
-// classifier and merges the per-shard aggregates — O(shards) merge
-// work — instead of materialising and sorting the full merged
-// dataset. Dataset() remains available as the batch path; for a
-// fixed seed both render byte-identical reports at any shard count
-// (asserted by TestStreamMatchesBatchReports at the repo root).
+// Streaming classification wiring. Every shard's monitoring pipeline
+// feeds its own analysis.StreamClassifier through a monitor.Sink
+// while the simulation runs; at the end, Aggregates finalises each
+// shard's classifier and merges the per-shard aggregates — O(shards)
+// merge work — instead of materialising and sorting the full merged
+// dataset. Dataset() stays as the batch test oracle: for a fixed seed
+// both render byte-identical reports at any shard count (asserted by
+// TestStreamMatchesBatchReports at the repo root).
 
 // actionKind maps a script notification kind to the analysis action
 // it evidences. Heartbeat and quota notifications are liveness, not
@@ -82,19 +81,12 @@ func (s *streamSink) ObserveFailure(f monitor.ScrapeFailure) {
 	s.sc.ObservePasswordChange(analysis.PasswordChange{Account: f.Account, Time: f.Time})
 }
 
-// StreamingEnabled reports whether the experiment classifies accesses
-// on the fly (Config.DisableStreaming unset).
-func (e *Experiment) StreamingEnabled() bool { return !e.cfg.DisableStreaming }
-
 // BuildAggregates finalises every shard's streaming classifier
 // against the plan facts and merges the per-shard aggregates. It
 // recomputes from the classifiers' retained state on every call (the
 // benchmark harness relies on that); use Aggregates for the cached
-// form. It errors when streaming is disabled.
+// form.
 func (e *Experiment) BuildAggregates() (*analysis.Aggregates, error) {
-	if e.cfg.DisableStreaming {
-		return nil, fmt.Errorf("honeynet: streaming disabled; use Dataset")
-	}
 	facts := func(account string) analysis.Facts {
 		b, ok := e.blockOf[account]
 		if !ok {

@@ -259,11 +259,11 @@ type Config struct {
 	// scraper and the Apps-Script runtime pool scheduler events); nil
 	// gives the monitor a private wheel on its scheduler.
 	Wheel *simtime.TriggerWheel
-	// DisableVersionGate restores the pre-dirty-tracking behaviour:
-	// every scrape tick logs into every tracked account and copies the
-	// full activity page, changed or not. The observed dataset is
-	// identical either way; the flag exists to quantify the
-	// optimisation and as an escape hatch.
+	// DisableVersionGate turns off the version gate: every scrape
+	// tick logs into every tracked account and copies the full
+	// activity page, changed or not. The observed dataset is identical
+	// either way; the ungated scrape is the reference the version-gate
+	// tests and benchmarks compare against.
 	DisableVersionGate bool
 }
 

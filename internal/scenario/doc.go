@@ -8,8 +8,7 @@
 // mix. A Spec varies any of those axes without touching Go code: plan
 // composition, outlet catalogue and cadence, attacker-calibration
 // overrides per channel, decoy locale/timezone, leak date, scan and
-// scrape cadences, and the engine toggles (streaming, dirty
-// tracking, visible scripts). Specs load from embedded named presets
+// scrape cadences, and script visibility. Specs load from embedded named presets
 // (Presets, e.g. "baseline", "paste-only", "malware-heavy") or from
 // user TOML/JSON files (LoadFile; the TOML dialect is the small
 // subset parseTOML documents).

@@ -328,16 +328,9 @@ func runCompiled(spec Spec, seed int64, opts Options, cfg honeynet.Config, pool 
 		return fail(err)
 	}
 
-	var agg *analysis.Aggregates
-	if exp.StreamingEnabled() {
-		agg, err = exp.Aggregates()
-		if err != nil {
-			return fail(err)
-		}
-	} else {
-		agg = analysis.AggregatesFromDataset(exp.Dataset(), analysis.StreamConfig{})
+	if res.Agg, err = exp.Aggregates(); err != nil {
+		return fail(err)
 	}
-	res.Agg = agg
 	res.GroupCounts = map[int]int{}
 	for _, a := range exp.Assignments() {
 		res.GroupCounts[a.Group.ID]++

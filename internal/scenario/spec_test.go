@@ -203,8 +203,14 @@ func TestSpecConfigAppliesOverrides(t *testing.T) {
 // TestParseJSONRejectsUnknownFields: a typoed axis must fail loudly,
 // not silently run the paper default.
 func TestParseJSONRejectsUnknownFields(t *testing.T) {
-	if _, err := ParseJSON([]byte(`{"name": "x", "daays": 90}`)); err == nil {
-		t.Fatal("unknown field accepted")
+	for _, doc := range []string{
+		`{"name": "x", "daays": 90}`,
+		// A retired engine toggle is unknown, not silently ignored.
+		`{"name": "x", "disable_streaming": true}`,
+	} {
+		if _, err := ParseJSON([]byte(doc)); err == nil {
+			t.Fatalf("unknown field accepted: %s", doc)
+		}
 	}
 	if _, err := ParseJSON([]byte(`{"name": "x"} {"name": "y"}`)); err == nil {
 		t.Fatal("trailing document accepted")

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -15,7 +16,6 @@ func sampleState() *State {
 			StartNS: 1435190400000000000, DurationNS: 86400e9, MailboxSize: 3,
 			ScanIntervalNS: 600e9, ScrapeIntervalNS: 3600e9, Shards: 2, Scale: 1,
 			VisibleScripts: true, DisableCaseStudies: false,
-			DisableStreaming: false, DisableDirtyTracking: true,
 			LoginRisk:         LoginRisk{Enabled: true, BlockTor: true, MaxKmFromHome: 1234.5},
 			CustomSites:       true,
 			DefenderCadenceNS: 43200e9, C3BucketBits: 12, C3Variants: true,
@@ -98,8 +98,8 @@ func TestDecodeRejectsWrongVersion(t *testing.T) {
 	// The version byte sits in the magic, before any frame checksum, so
 	// the version check itself is what fires.
 	data[7] = Version + 1
-	if _, err := Decode(data); err == nil {
-		t.Fatal("future format version accepted")
+	if _, err := Decode(data); !errors.Is(err, ErrVersion) {
+		t.Fatalf("future format version: got %v, want ErrVersion", err)
 	}
 }
 

@@ -219,7 +219,7 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 		return nil, fmt.Errorf("snapshot: bad magic %q", got[:7])
 	}
 	if got[7] != Version {
-		return nil, fmt.Errorf("snapshot: unsupported format version %d (this build reads version %d)", got[7], Version)
+		return nil, fmt.Errorf("snapshot: %w %d (this build reads version %d)", ErrVersion, got[7], Version)
 	}
 	if err := d.readFrame(frameMeta); err != nil {
 		return nil, err

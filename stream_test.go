@@ -125,24 +125,3 @@ func TestStreamMatchesBatchReports(t *testing.T) {
 		t.Fatalf("streaming report changes with shard count\n%s", firstDiff(reports[1], reports[4]))
 	}
 }
-
-// TestStreamingDisabled: with the legacy flag set, Aggregates errors
-// and the dataset path still works.
-func TestStreamingDisabled(t *testing.T) {
-	cfg := streamTestConfig(5, 2)
-	cfg.Duration = 30 * 24 * time.Hour
-	cfg.DisableStreaming = true
-	exp, err := honeynet.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := exp.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := exp.Aggregates(); err == nil {
-		t.Fatal("Aggregates succeeded with streaming disabled")
-	}
-	if ds := exp.Dataset(); len(ds.Accesses) == 0 {
-		t.Fatal("batch dataset empty")
-	}
-}
