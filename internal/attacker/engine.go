@@ -420,11 +420,13 @@ func (e *Engine) runSession(rec *Record, leakedPassword string, pop Population, 
 	minutes := e.src.LogNormal(logOf(pop.SessionMinutes), 0.9)
 	endIn := time.Duration(minutes * float64(time.Minute))
 	e.sched.After(endIn, "session-end", func(time.Time) {
-		se.List(webmail.FolderInbox) // touch; errors fine (may be suspended)
+		se.Touch() // errors fine (may be suspended)
 	})
 
+	// Opening the inbox: the visit shows on the activity page; what
+	// the page lists is never read.
 	if first || rec.Classes.Has(ClassGoldDigger) {
-		se.List(webmail.FolderInbox)
+		se.Touch()
 	}
 	if rec.Classes.Has(ClassGoldDigger) {
 		e.goldDig(rec, se)

@@ -101,10 +101,11 @@ func NewStore() *Store {
 // Notify implements appscript.Notifier.
 func (s *Store) Notify(n appscript.Notification) {
 	s.mu.Lock()
-	s.byAccount[n.Account] = append(s.byAccount[n.Account], len(s.notifications))
-	s.notifications = append(s.notifications, n)
 	if n.Kind == appscript.NoteHeartbeat {
 		s.lastHeartbeat[n.Account] = n.Time
+	} else {
+		s.byAccount[n.Account] = append(s.byAccount[n.Account], len(s.notifications))
+		s.notifications = append(s.notifications, n)
 	}
 	sink := s.sink
 	s.mu.Unlock()
@@ -113,7 +114,10 @@ func (s *Store) Notify(n appscript.Notification) {
 	}
 }
 
-// Notifications returns a copy of all collected notifications.
+// Notifications returns a copy of all collected notifications, in
+// arrival order. Heartbeats are not logged: each account's newest one
+// is summarised in LastHeartbeat (a registered Sink still sees every
+// heartbeat).
 func (s *Store) Notifications() []appscript.Notification {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -124,7 +128,9 @@ func (s *Store) Notifications() []appscript.Notification {
 
 // NotificationsFor returns the notifications for one account, in
 // arrival order. The per-account index makes this O(matches) instead
-// of a linear scan over every account's notifications.
+// of a linear scan over every account's notifications. As with
+// Notifications, heartbeats are summarised in LastHeartbeat, not
+// logged.
 func (s *Store) NotificationsFor(account string) []appscript.Notification {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -85,3 +85,60 @@ func TestSinkStreamsFilteredObservations(t *testing.T) {
 		t.Fatalf("failure = %+v", sink.failures[0])
 	}
 }
+
+// Heartbeats prove liveness only: the store keeps each account's
+// newest one in LastHeartbeat instead of logging it, while a sink
+// still sees every heartbeat.
+func TestHeartbeatsSummarisedNotLogged(t *testing.T) {
+	const acct = "h1@honeymail.example"
+	day := func(d int) time.Time { return epoch.Add(time.Duration(d) * 24 * time.Hour) }
+	store := NewStore()
+	sink := &recordingSink{}
+	store.SetSink(sink)
+	read := appscript.Notification{Time: day(1).Add(time.Hour), Account: acct, Kind: appscript.NoteRead, Message: 7}
+	quota := appscript.Notification{Time: day(2).Add(time.Hour), Account: acct, Kind: appscript.NoteQuota}
+	for _, n := range []appscript.Notification{
+		{Time: day(1), Account: acct, Kind: appscript.NoteHeartbeat},
+		read,
+		{Time: day(2), Account: acct, Kind: appscript.NoteHeartbeat},
+		quota,
+		{Time: day(3), Account: acct, Kind: appscript.NoteHeartbeat},
+	} {
+		store.Notify(n)
+	}
+
+	want := []appscript.Notification{read, quota}
+	for name, got := range map[string][]appscript.Notification{
+		"Notifications":    store.Notifications(),
+		"NotificationsFor": store.NotificationsFor(acct),
+	} {
+		if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+			t.Fatalf("%s = %+v, want %+v", name, got, want)
+		}
+	}
+	if hb, ok := store.LastHeartbeat(acct); !ok || !hb.Equal(day(3)) {
+		t.Fatalf("LastHeartbeat = %v, %v; want %v", hb, ok, day(3))
+	}
+	heartbeats := 0
+	for _, n := range sink.notifications {
+		if n.Kind == appscript.NoteHeartbeat {
+			heartbeats++
+		}
+	}
+	if heartbeats != 3 || len(sink.notifications) != 5 {
+		t.Fatalf("sink saw %d heartbeats of %d notifications, want 3 of 5", heartbeats, len(sink.notifications))
+	}
+}
+
+func TestHeartbeatNotifyAllocs(t *testing.T) {
+	store := NewStore()
+	hb := appscript.Notification{Time: epoch, Account: "h1@honeymail.example", Kind: appscript.NoteHeartbeat}
+	store.Notify(hb)
+	allocs := testing.AllocsPerRun(100, func() {
+		hb.Time = hb.Time.Add(24 * time.Hour)
+		store.Notify(hb)
+	})
+	if allocs != 0 {
+		t.Fatalf("heartbeat Notify allocates %.1f times per call, want 0", allocs)
+	}
+}

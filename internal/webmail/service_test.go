@@ -280,6 +280,9 @@ func TestChangePasswordInvalidatesOtherSessions(t *testing.T) {
 	if _, err := monitor.List(FolderInbox); !errors.Is(err, ErrSessionExpired) {
 		t.Fatalf("old session err = %v, want ErrSessionExpired", err)
 	}
+	if err := monitor.Touch(); !errors.Is(err, ErrSessionExpired) {
+		t.Fatalf("old session Touch err = %v, want ErrSessionExpired", err)
+	}
 	// Hijacker's own session survives.
 	if _, err := hijacker.List(FolderInbox); err != nil {
 		t.Fatal(err)
@@ -323,6 +326,9 @@ func TestSuspensionBlocksLoginAndOps(t *testing.T) {
 	}
 	if _, err := se.List(FolderInbox); !errors.Is(err, ErrSuspended) {
 		t.Fatalf("op err = %v", err)
+	}
+	if err := se.Touch(); !errors.Is(err, ErrSuspended) {
+		t.Fatalf("Touch err = %v", err)
 	}
 	// Double-suspend journals once.
 	f.svc.Suspend("alice@honeymail.example", "again")
@@ -378,6 +384,74 @@ func TestAbuseWindowSlides(t *testing.T) {
 	}
 	if f.svc.Suspended("alice@honeymail.example") {
 		t.Fatal("slow sender should not be suspended")
+	}
+}
+
+// A reused recipient set must not leak one account's recipients into
+// another's count: each account here stays under the fan-out limit,
+// and only the union of both would exceed it.
+func TestAbuseFanOutPerAccount(t *testing.T) {
+	f := newFixture(t, Config{Abuse: AbuseConfig{Window: time.Hour, MaxSendsPerWindow: 1000, MaxRecipientsPerWindow: 4}})
+	if err := f.svc.CreateAccount("bob@honeymail.example", "pw", "Bob Jones"); err != nil {
+		t.Fatal(err)
+	}
+	alice := f.login(t)
+	bob, err := f.svc.Login("bob@honeymail.example", "pw", f.svc.NewCookie(), f.endpoint(t, "London", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := alice.Send(string(rune('a'+i))+"@victims.example", "s", "b"); err != nil {
+			t.Fatalf("alice send %d: %v", i, err)
+		}
+		if _, err := bob.Send(string(rune('x'+i))+"@victims.example", "s", "b"); err != nil {
+			t.Fatalf("bob send %d: %v", i, err)
+		}
+	}
+	for _, acct := range []string{"alice@honeymail.example", "bob@honeymail.example"} {
+		if f.svc.Suspended(acct) {
+			t.Fatalf("%s suspended for 3 distinct recipients under a limit of 4", acct)
+		}
+	}
+}
+
+// Distinct recipients that fell out of the window stop counting
+// toward fan-out.
+func TestAbuseFanOutWindowSlides(t *testing.T) {
+	f := newFixture(t, Config{Abuse: AbuseConfig{Window: time.Hour, MaxSendsPerWindow: 1000, MaxRecipientsPerWindow: 4}})
+	se := f.login(t)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 3; i++ {
+			to := string(rune('a'+3*round+i)) + "@victims.example"
+			if _, err := se.Send(to, "s", "b"); err != nil {
+				t.Fatalf("round %d send %d: %v", round, i, err)
+			}
+		}
+		f.sched.RunFor(2 * time.Hour)
+	}
+	if f.svc.Suspended("alice@honeymail.example") {
+		t.Fatal("9 distinct recipients spread over 3 windows counted as one fan-out")
+	}
+}
+
+// A single-recipient burst under both thresholds costs the detector
+// only its amortised log growth, not a recipient set per send.
+func TestAbuseRecordSendAllocs(t *testing.T) {
+	d := newAbuseDetector(AbuseConfig{Window: time.Hour, MaxSendsPerWindow: 1000, MaxRecipientsPerWindow: 4})
+	const sends = 100
+	var at time.Time
+	allocs := testing.AllocsPerRun(1, func() {
+		d.log = make(map[string][]sendRecord)
+		at = epoch
+		for i := 0; i < sends; i++ {
+			if v := d.recordSend("alice@honeymail.example", "victim@x", at); v != "" {
+				t.Fatalf("send %d: %s", i, v)
+			}
+			at = at.Add(time.Second)
+		}
+	})
+	if perSend := allocs / sends; perSend >= 1 {
+		t.Fatalf("recordSend allocates %.2f times per send, want < 1", perSend)
 	}
 }
 
@@ -488,5 +562,56 @@ func TestListNBoundsToNewest(t *testing.T) {
 		if err != nil || len(msgs) != 3 {
 			t.Fatalf("ListN(%d): %v, %d messages", limit, err, len(msgs))
 		}
+	}
+}
+
+// Touch is List without the listing: both must leave the activity
+// row in the same state (tlast, access version).
+func TestTouchMatchesList(t *testing.T) {
+	const acct = "alice@honeymail.example"
+	drive := func(view func(*Session) error) ([]Access, uint64) {
+		f := newFixture(t, Config{})
+		f.svc.Seed(acct, FolderInbox, "b@x", "a", "s", "b", epoch)
+		se, err := f.svc.Login(acct, "hunter2", "cookie-1", f.endpoint(t, "London", ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.sched.RunFor(time.Hour)
+		if err := view(se); err != nil {
+			t.Fatal(err)
+		}
+		page, err := f.svc.ActivityPage(acct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return page, f.svc.AccessVersion(acct)
+	}
+	touched, vTouch := drive((*Session).Touch)
+	listed, vList := drive(func(se *Session) error {
+		_, err := se.List(FolderInbox)
+		return err
+	})
+	if len(touched) != 1 || len(listed) != 1 {
+		t.Fatalf("activity rows: touch %d, list %d", len(touched), len(listed))
+	}
+	if !touched[0].Last.Equal(listed[0].Last) || !touched[0].Last.Equal(epoch.Add(time.Hour)) {
+		t.Fatalf("tlast: touch %v, list %v, want %v", touched[0].Last, listed[0].Last, epoch.Add(time.Hour))
+	}
+	if vTouch != vList {
+		t.Fatalf("access version: touch %d, list %d", vTouch, vList)
+	}
+}
+
+func TestTouchAllocs(t *testing.T) {
+	f := newFixture(t, Config{})
+	se := f.login(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		f.sched.RunFor(time.Minute)
+		if err := se.Touch(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Touch allocates %.1f times per call, want 0", allocs)
 	}
 }

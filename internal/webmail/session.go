@@ -51,6 +51,18 @@ func (se *Session) touch() (*account, error) {
 	return a, nil
 }
 
+// Touch revalidates the session and advances its activity row's
+// tlast, exactly as any other session operation does, without reading
+// the mailbox. It is the page view whose only observable effect is the
+// activity page: ErrSuspended and ErrSessionExpired come back under
+// the same conditions as from List.
+func (se *Session) Touch() error {
+	se.part.mu.Lock()
+	defer se.part.mu.Unlock()
+	_, err := se.touch()
+	return err
+}
+
 // cmpMessage orders messages oldest first, IDs breaking ties — the
 // folder listing and search-result order.
 func cmpMessage(x, y Message) int {
