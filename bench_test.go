@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/appscript"
 	"repro/internal/attacker"
 	"repro/internal/geo"
 	"repro/internal/honeynet"
@@ -392,6 +393,87 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sched.After(time.Duration(i)*time.Microsecond, "bench", func(time.Time) {})
 		sched.Step()
+	}
+}
+
+// BenchmarkIdleAccounts measures what instrumented-but-quiet accounts
+// cost the Apps-Script layer. K active accounts carry a fixed activity
+// script (a mailbox change every six hours each) for 30 simulated
+// days; the sub-benchmarks add ×1 and ×10 K idle scripted accounts
+// that nobody touches. Every account keeps its 10-minute scan and
+// daily heartbeat, so the run time's growth from ×1 to ×10 is the
+// price of idleness: with dirty-set scans it should be a fraction,
+// not a multiple (target: ×10 within 1.5× of ×1). Setup is untimed;
+// the non-heartbeat notification count is reported and must be equal
+// across the sub-benchmarks, proving the activity held fixed.
+func BenchmarkIdleAccounts(b *testing.B) {
+	const active = 100
+	start := time.Date(2015, 6, 25, 0, 0, 0, 0, time.UTC)
+	want := -1
+	for _, idleX := range []int{1, 10} {
+		idleX := idleX
+		b.Run(fmt.Sprintf("idle=x%d", idleX), func(b *testing.B) {
+			b.ReportAllocs()
+			notes := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				clock := simtime.NewClock(start)
+				sched := simtime.NewScheduler(clock)
+				svc := webmail.NewService(webmail.Config{Clock: clock})
+				notes = 0
+				rt := appscript.NewRuntime(svc, sched, appscript.NotifierFunc(func(n appscript.Notification) {
+					if n.Kind != appscript.NoteHeartbeat {
+						notes++
+					}
+				}))
+				space := netsim.NewAddressSpace(rng.New(5), geo.Default())
+				for a := 0; a < active*(1+idleX); a++ {
+					addr := fmt.Sprintf("idle%05d@honeymail.example", a)
+					if err := svc.CreateAccount(addr, "pw", "Idle Owner"); err != nil {
+						b.Fatal(err)
+					}
+					for m := 0; m < 8; m++ {
+						svc.Seed(addr, webmail.FolderInbox, "peer@corp.example", addr, "quarterly numbers", "see attached", start.Add(-time.Hour))
+					}
+					if err := rt.Install(addr, appscript.Options{Hidden: true}); err != nil {
+						b.Fatal(err)
+					}
+					if a >= active {
+						continue
+					}
+					ep, err := space.FromCity("Lagos")
+					if err != nil {
+						b.Fatal(err)
+					}
+					se, err := svc.Login(addr, "pw", svc.NewCookie(), ep)
+					if err != nil {
+						b.Fatal(err)
+					}
+					draft, err := se.CreateDraft("x@y", "note", "draft 0")
+					if err != nil {
+						b.Fatal(err)
+					}
+					for k := 0; k < 120; k++ {
+						k := k
+						at := start.Add(time.Duration(a)*time.Minute + time.Duration(k)*6*time.Hour)
+						sched.At(at, "activity", func(time.Time) {
+							if k < 8 {
+								se.Read(webmail.MessageID(k + 1))
+								return
+							}
+							se.UpdateDraft(draft, "x@y", "note", fmt.Sprintf("draft %d", k))
+						})
+					}
+				}
+				b.StartTimer()
+				sched.RunUntil(start.Add(30 * 24 * time.Hour))
+			}
+			if want >= 0 && notes != want {
+				b.Fatalf("activity notifications = %d, want %d: idle accounts changed the activity", notes, want)
+			}
+			want = notes
+			b.ReportMetric(float64(notes), "notes")
+		})
 	}
 }
 

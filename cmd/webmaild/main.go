@@ -1,6 +1,6 @@
 // Command webmaild serves the webmail platform over TCP — either as a
 // standalone demo (generated honey accounts) or as one shard of a live
-// fleet booted from a v4 snapshot file. On SIGTERM/SIGINT it drains:
+// fleet booted from a snapshot file. On SIGTERM/SIGINT it drains:
 // the listener closes, idle connections drop, and in-flight requests
 // finish before the process exits.
 //
@@ -76,7 +76,7 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&cfg.accounts, "accounts", 10, "demo honey accounts to create (ignored with -snapshot)")
 	fs.IntVar(&cfg.mailbox, "mailbox", 40, "seeded messages per demo account")
 	fs.Int64Var(&cfg.seed, "seed", 1, "demo content seed")
-	fs.StringVar(&cfg.snapshotPath, "snapshot", "", "boot the account store from this v4 snapshot file")
+	fs.StringVar(&cfg.snapshotPath, "snapshot", "", "boot the account store from this snapshot file")
 	fs.IntVar(&cfg.partition, "partition", 0, "this shard's index (with -snapshot)")
 	fs.IntVar(&cfg.partitions, "partitions", 1, "total shards in the fleet (with -snapshot)")
 	fs.BoolVar(&cfg.abuse, "abuse", true, "enforce send-rate abuse detection (the virtual clock is static, so the window never slides)")

@@ -253,3 +253,33 @@ func TestNotificationKindStrings(t *testing.T) {
 		t.Fatal("unknown kind renders empty")
 	}
 }
+
+// A Notifier may call back into the Runtime: notifications are sent
+// after the tick releases the runtime lock. Here the sink uninstalls
+// the script on its first read report, as an attacker deleting it
+// would, and the second account's report in the same tick still
+// arrives.
+func TestNotifierMayCallBackIntoRuntime(t *testing.T) {
+	w := newWorld(t, 2, false)
+	var rt *Runtime
+	var got []Notification
+	rt = NewRuntime(w.svc, w.sched, NotifierFunc(func(n Notification) {
+		got = append(got, n)
+		if n.Kind == NoteRead {
+			rt.Uninstall(n.Account)
+		}
+	}))
+	for i := 0; i < 2; i++ {
+		if err := rt.Install(acctName(i), Options{Hidden: true}); err != nil {
+			t.Fatal(err)
+		}
+		w.sessions[acctName(i)].Read(1)
+	}
+	w.sched.RunUntil(epoch.Add(2 * 24 * time.Hour))
+	if len(got) != 2 || got[0].Account != acctName(0) || got[1].Account != acctName(1) {
+		t.Fatalf("notifications %+v, want one read per account", got)
+	}
+	if rt.Installed(acctName(0)) || rt.Installed(acctName(1)) {
+		t.Fatal("scripts survived the sink's uninstall")
+	}
+}

@@ -621,7 +621,9 @@ func (e *Experiment) Leak() error {
 		}
 	}
 	if !e.cfg.DisableCaseStudies {
-		e.scheduleCaseStudies()
+		if err := e.scheduleCaseStudies(); err != nil {
+			return err
+		}
 	}
 	e.armDefenders()
 	e.leaked = true
@@ -665,7 +667,7 @@ func (e *Experiment) hintFor(h analysis.Hint) *outlets.LocationHint {
 // carding-forum registration. Target selection walks the global
 // assignment list in plan order — stable under any shard layout — and
 // each scripted action runs on the engine of the account's own block.
-func (e *Experiment) scheduleCaseStudies() {
+func (e *Experiment) scheduleCaseStudies() error {
 	var pasteAccounts, forumAccounts []Assignment
 	for _, a := range e.assignments {
 		switch a.Group.Channel {
@@ -698,11 +700,13 @@ func (e *Experiment) scheduleCaseStudies() {
 			// Reinstall with a quota so the "too much computer time"
 			// notice lands in the inbox, then have an attacker read it.
 			b := e.blockOf[a.Account]
-			b.shard.runtime.Install(a.Account, appscript.Options{
+			if err := b.shard.runtime.Install(a.Account, appscript.Options{
 				ScanInterval: e.cfg.ScanInterval,
 				Hidden:       !e.cfg.VisibleScripts,
 				QuotaScans:   500 + 100*i,
-			})
+			}); err != nil {
+				return fmt.Errorf("honeynet: quota reinstall on %s: %w", a.Account, err)
+			}
 			b.engine.RegisterCredential(a.Account, a.Password)
 			b.engine.RunQuotaReader(a.Account, now.Add(time.Duration(40+10*i)*24*time.Hour))
 		}
@@ -713,6 +717,7 @@ func (e *Experiment) scheduleCaseStudies() {
 		b.engine.RegisterCredential(a.Account, a.Password)
 		b.engine.RunCardingRegistration(a.Account, now.Add(55*24*time.Hour))
 	}
+	return nil
 }
 
 // Run advances every shard to the end of the observation window,

@@ -46,9 +46,10 @@ type shard struct {
 	clock *simtime.Clock
 	sched *simtime.Scheduler
 	// wheel batches every same-cadence periodic trigger on this shard
-	// (all Apps-Script scans, all heartbeats, the monitor scrape) onto
-	// one scheduler event per tick, so the heap pays O(1) operations
-	// per tick instead of O(accounts).
+	// (the Apps-Script runtime's scan and heartbeat groups, the monitor
+	// scrape, the defender) onto one scheduler event per tick. It holds
+	// a handful of callbacks, not one per account: the runtime fans a
+	// group tick out to its accounts itself.
 	wheel   *simtime.TriggerWheel
 	sink    *sinkhole.Store
 	store   *monitor.Store

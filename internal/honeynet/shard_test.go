@@ -239,3 +239,35 @@ func TestPlanTooLargeForTenancyRejected(t *testing.T) {
 		t.Fatalf("1200-block fleet rejected: %v", err)
 	}
 }
+
+// TestWheelHoldsNoPerAccountEntries: after Setup and Leak (which
+// reinstalls two scripts with a quota), each shard's trigger wheel
+// carries one callback per Apps-Script trigger group plus the monitor
+// scrape — a handful of entries, however many accounts the shard
+// instruments.
+func TestWheelHoldsNoPerAccountEntries(t *testing.T) {
+	cfg := fastConfig(5)
+	cfg.Shards = 2
+	cfg.ScaleFactor = 3
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Leak(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range e.shards {
+		chains := sh.wheel.Chains()
+		entries := 0
+		for _, c := range chains {
+			entries += c.Entries
+		}
+		// Scan group, heartbeat group, monitor scrape.
+		if len(chains) != 3 || entries != 3 {
+			t.Fatalf("shard %d wheel: %+v; want 3 chains of one entry each", sh.id, chains)
+		}
+	}
+}

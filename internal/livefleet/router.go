@@ -87,6 +87,10 @@ type backendConn struct {
 	c     net.Conn
 	br    *bufio.Reader
 	shard int
+	// buf assembles responses longer than br's buffer; it is reused
+	// across requests, so a relayed response aliases connection state
+	// and must be written out before the connection serves again.
+	buf []byte
 }
 
 func (b *backendConn) Close() { b.c.Close() }
@@ -316,12 +320,14 @@ func (r *Router) proxy(rc *wire.Conn, backend **backendConn, line []byte) bool {
 				old.Close() // the superseded session dies with its conn
 			}
 			*backend = bc
-		} else {
-			// Failed login on a never-bound connection: still clean,
-			// back to the pool. Any previous binding stays in place.
-			r.putBack(shard, bc)
+			return r.relay(rc, raw)
 		}
-		return r.relay(rc, raw)
+		// Failed login on a never-bound connection: still clean, back
+		// to the pool — after relaying, because raw aliases the
+		// connection's read buffers. Any previous binding stays.
+		sent := r.relay(rc, raw)
+		r.putBack(shard, bc)
+		return sent
 	}
 	st := &r.health[(*backend).shard]
 	st.inflight.Enter()
@@ -353,12 +359,29 @@ func dialErrorMessage(err error) string {
 // forward sends one frame and reads the raw single-line response
 // (json.Encoder frames never contain raw newlines). The bound-session
 // relay path never parses response bodies — a list reply is opaque
-// bytes to the router.
+// bytes to the router. The returned slice aliases bc's buffers (the
+// reader's own for a response that fits it, bc.buf for a longer one)
+// and is valid until bc's next read: relaying it costs no allocation
+// once bc.buf has grown to the connection's largest response.
 func forward(bc *backendConn, line []byte) ([]byte, error) {
 	if _, err := bc.c.Write(line); err != nil {
 		return nil, err
 	}
-	return bc.br.ReadBytes('\n')
+	bc.buf = bc.buf[:0]
+	for {
+		frag, err := bc.br.ReadSlice('\n')
+		switch {
+		case err == nil && len(bc.buf) == 0:
+			return frag, nil
+		case err == nil:
+			bc.buf = append(bc.buf, frag...)
+			return bc.buf, nil
+		case err == bufio.ErrBufferFull:
+			bc.buf = append(bc.buf, frag...)
+		default:
+			return nil, err
+		}
+	}
 }
 
 // roundTrip forwards one frame and additionally decodes the outcome

@@ -166,12 +166,18 @@ func (s *Scheduler) At(t time.Time, name string, fn func(now time.Time)) *Event 
 	if fn == nil {
 		panic("simtime: At called with nil function")
 	}
+	e := &Event{name: name, fn: fn}
+	s.push(e, t.UnixNano())
+	return e
+}
+
+// push (re)arms e for whenNS with the next scheduling sequence number.
+func (s *Scheduler) push(e *Event, whenNS int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := &Event{whenNS: t.UnixNano(), seq: s.seq, name: name, fn: fn}
+	e.whenNS, e.seq = whenNS, s.seq
 	s.seq++
 	heap.Push(&s.queue, e)
-	return e
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -180,25 +186,30 @@ func (s *Scheduler) After(d time.Duration, name string, fn func(now time.Time)) 
 }
 
 // Every schedules fn to run every interval, starting one interval from
-// now, until the returned stop function is called. The paper's
-// Apps-Script scan trigger ("every 10 minutes") and heartbeat ("once a
-// day") are built on this.
+// now, until the returned stop function is called. Each tick re-arms
+// the chain's single *Event with a fresh due time and sequence number
+// — exactly the (when, seq) a newly scheduled event would get, so
+// Seq, Fired and Len count as if every tick were its own event — and
+// a steady-state tick allocates nothing. After stop, the pending tick
+// still pops (and counts as fired) but does not call fn. Periodic
+// triggers that share a cadence should share a chain via a
+// TriggerWheel rather than each calling Every.
 func (s *Scheduler) Every(interval time.Duration, name string, fn func(now time.Time)) (stop func()) {
 	if interval <= 0 {
 		panic("simtime: Every requires a positive interval")
 	}
 	var stopped atomic.Bool
-	var tick func(now time.Time)
-	tick = func(now time.Time) {
+	e := &Event{name: name}
+	e.fn = func(now time.Time) {
 		if stopped.Load() {
 			return
 		}
 		fn(now)
 		if !stopped.Load() {
-			s.After(interval, name, tick)
+			s.push(e, s.clock.nowNanos()+int64(interval))
 		}
 	}
-	s.After(interval, name, tick)
+	s.push(e, s.clock.nowNanos()+int64(interval))
 	return func() { stopped.Store(true) }
 }
 

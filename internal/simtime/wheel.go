@@ -7,13 +7,14 @@ import (
 )
 
 // TriggerWheel batches periodic callbacks that share a cadence onto a
-// single scheduler event chain. A fleet-scale honeynet installs one
-// scan trigger and one heartbeat trigger per account; scheduled
-// individually that is O(accounts) heap events per tick (tens of
-// millions of heap sift operations over a seven-month run). The wheel
-// collapses every callback with the same (interval, phase) into one
-// bucket driven by one Every chain, so the scheduler pays O(1) heap
-// operations per tick regardless of how many accounts registered.
+// single scheduler event chain. Every callback with the same
+// (interval, phase) lands in one bucket driven by one Every chain, so
+// the scheduler pays O(1) heap operations per tick regardless of how
+// many callbacks registered. In the honeynet each shard's wheel holds
+// a handful of callbacks: one per Apps-Script trigger group (the
+// runtime fans a group's tick out to its accounts itself, scanning
+// only those whose mailbox changed), the monitor scrape and the
+// defender check.
 //
 // Semantics match Scheduler.Every exactly: a callback registered at
 // time t with interval i first fires at t+i and then every i after.

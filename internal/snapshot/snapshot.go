@@ -48,8 +48,12 @@ import (
 // version 4 added the C3 defender section (Config.DefenderCadenceNS,
 // C3BucketBits, C3Variants and the State.Defender cursor list);
 // version 5 dropped the two engine-mode flags (streaming and dirty
-// tracking), which stopped being configurable.
-const Version = 5
+// tracking), which stopped being configurable; version 6 changed what
+// Chain.Entries counts — callbacks on the wheel bucket, which for the
+// Apps-Script runtime is now one entry per trigger group instead of
+// one per account — so a v5 file would only fail later as a
+// confusing drift error.
+const Version = 6
 
 // ErrVersion is the error (wrapped with the version found) for a
 // snapshot written by a build with a different format version.
@@ -138,7 +142,9 @@ type Shard struct {
 	Chains  []Chain
 }
 
-// Chain is one trigger-wheel bucket descriptor.
+// Chain is one trigger-wheel bucket descriptor. Entries counts the
+// callbacks riding the bucket: the monitor scrape, the defender, and
+// one per Apps-Script trigger group — not one per account.
 type Chain struct {
 	IntervalNS int64
 	PhaseNS    int64

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -100,6 +101,22 @@ func TestDecodeRejectsWrongVersion(t *testing.T) {
 	data[7] = Version + 1
 	if _, err := Decode(data); !errors.Is(err, ErrVersion) {
 		t.Fatalf("future format version: got %v, want ErrVersion", err)
+	}
+}
+
+// TestDecodeRefusesV5: v5 files counted one wheel entry per account
+// in Chain.Entries; v6 counts one per trigger group. A v5 file must be
+// refused up front with the version error, not accepted and left to
+// fail later as snapshot drift.
+func TestDecodeRefusesV5(t *testing.T) {
+	data := sampleState().Encode()
+	data[7] = 5
+	_, err := Decode(data)
+	if !errors.Is(err, ErrVersion) {
+		t.Fatalf("v5 snapshot: got %v, want ErrVersion", err)
+	}
+	if !strings.Contains(err.Error(), "format version 5") {
+		t.Fatalf("v5 refusal does not name the version found: %v", err)
 	}
 }
 

@@ -123,12 +123,6 @@ func TestVersionProbe(t *testing.T) {
 	if probe.AccessVersion() != f.svc.AccessVersion("d@honeymail.example") {
 		t.Fatal("probe access version diverges from service")
 	}
-	if _, err := f.svc.DeliverInbound("d@honeymail.example", "b@x", "s", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if probe.MailboxVersion() != f.svc.Version("d@honeymail.example") {
-		t.Fatal("probe mailbox version diverges from service")
-	}
 	if (VersionProbe{}).Valid() {
 		t.Fatal("zero probe claims validity")
 	}

@@ -39,11 +39,17 @@ type account struct {
 	passwordChanges int
 	searchLog       []string
 
-	// version increments on every mailbox state change; pollers (the
-	// Apps-Script scan trigger) use it to skip diffing quiet accounts.
-	// Atomic so VersionProbe reads race-free without the partition
-	// lock; writes happen under it.
+	// version increments on every mailbox state change (reads, stars,
+	// sends, draft writes, inbound deliveries). Writes happen under
+	// the partition lock, through bumpMailboxLocked, which also marks
+	// the watch slot.
 	version atomic.Uint64
+	// watch, when set, is the word of a DirtySet this account marks
+	// (watchMask) on every version bump: the Apps-Script runtime's
+	// push-based replacement for polling the version. Guarded by the
+	// partition lock.
+	watch     *atomic.Uint64
+	watchMask uint64
 
 	// accessVersion increments on every change an activity-page
 	// scraper could observe: a new or updated access row, a password
@@ -538,15 +544,16 @@ func (s *Service) SearchLog(address string) []string {
 }
 
 // journalLocked appends an event and notifies observers. Callers hold
-// the owning partition's lock. The snapshot version only advances for
-// events that change what Snapshot reports (reads, stars, sends,
-// drafts) so that pollers can skip accounts whose mailbox is
-// untouched — logins and searches alone do not force a rescan.
+// the owning partition's lock. The mailbox version only advances (and
+// the watch slot is only marked) for events that change what Snapshot
+// reports (reads, stars, sends, drafts), so a watcher skips accounts
+// whose mailbox is untouched — logins and searches alone do not force
+// a rescan.
 func (s *Service) journalLocked(p *partition, a *account, e Event) {
 	a.journal.append(&p.sym, e)
 	switch e.Kind {
 	case EventRead, EventStar, EventSend, EventDraftCreate, EventDraftUpdate:
-		a.version.Add(1)
+		a.bumpMailboxLocked()
 	}
 	s.obsMu.RLock()
 	observers := s.observers
@@ -584,21 +591,17 @@ func (s *Service) AccessVersion(address string) uint64 {
 	return a.accessVersion.Load()
 }
 
-// VersionProbe is a lock-free handle for polling one account's change
-// counters. Per-account pollers (the Apps-Script scan trigger, the
-// activity-page scraper's version gate) hold one so that deciding
-// "nothing changed — skip this account" costs a single atomic load
-// instead of an index lookup plus two lock round-trips per account per
-// tick. Accounts are never deleted, so a probe stays valid for the
-// life of the service. The zero value is invalid (Valid reports
-// false).
+// VersionProbe is a lock-free handle for polling one account's
+// activity-page change counter. The activity-page scraper's version
+// gate holds one per account so that deciding "nothing changed — skip
+// this account" costs a single atomic load instead of an index lookup
+// plus two lock round-trips per account per tick. Accounts are never
+// deleted, so a probe stays valid for the life of the service. The
+// zero value is invalid (Valid reports false).
 type VersionProbe struct{ a *account }
 
 // Valid reports whether the probe is bound to an account.
 func (p VersionProbe) Valid() bool { return p.a != nil }
-
-// MailboxVersion mirrors Service.Version for the probed account.
-func (p VersionProbe) MailboxVersion() uint64 { return p.a.version.Load() }
 
 // AccessVersion mirrors Service.AccessVersion for the probed account.
 func (p VersionProbe) AccessVersion() uint64 { return p.a.accessVersion.Load() }
@@ -680,7 +683,7 @@ func (s *Service) DeliverInbound(address, from, subject, body string) (MessageID
 	a.nextID++
 	a.msgs.append(FolderInbox, &msgText{from: from, to: address, subject: subject, body: body},
 		p.now().UnixNano(), false)
-	a.version.Add(1)
+	a.bumpMailboxLocked()
 	return id, nil
 }
 
