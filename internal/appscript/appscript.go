@@ -22,7 +22,7 @@
 //     read during the study (§4.7).
 //
 // The triggers are grouped, not per account: scripts sharing a cadence
-// and phase ride one trigger-wheel callback, and a scan tick visits
+// and phase ride one Scheduler.Every chain, and a scan tick visits
 // only the accounts webmail marked dirty since the previous tick (see
 // NewRuntime), so instrumenting an idle account costs nothing per
 // scan.
@@ -133,7 +133,7 @@ type script struct {
 	// scanFromNS and beatFromNS are install time + interval: the first
 	// tick each group may fire the script on. A script installed at
 	// the very instant its group's tick is due but has not run yet
-	// waits one full interval, as TriggerWheel.Every entries do.
+	// waits one full interval, as a Scheduler.Every chain does.
 	scanFromNS, beatFromNS int64
 	// quotaAtNS is the scan tick the quota notice is due on — install
 	// time + QuotaScans scan intervals, i.e. the QuotaScans-th tick the
@@ -145,11 +145,11 @@ type script struct {
 
 // groupKey identifies a trigger group: every script in it fires at
 // instants ≡ phase (mod interval), in nanoseconds — the key the
-// runtime's wheel entry for the group lands under.
+// group's Scheduler.Every chain reports under in Scheduler.Chains.
 type groupKey struct{ intervalNS, phaseNS int64 }
 
 // group is one (interval, phase) set of scripts sharing a single
-// trigger-wheel entry. scripts is indexed by slot in registration
+// Scheduler.Every chain. scripts is indexed by slot in registration
 // order; a reinstall vacates the old slot (nil) and appends, so it
 // moves the script to the end of its group.
 type group struct {
@@ -170,7 +170,6 @@ type Runtime struct {
 	mu      sync.Mutex
 	svc     *webmail.Service
 	sched   *simtime.Scheduler
-	wheel   *simtime.TriggerWheel
 	sink    Notifier
 	scripts map[string]*script
 	scans   map[groupKey]*group
@@ -188,12 +187,12 @@ type Runtime struct {
 // NewRuntime wires the script engine to a platform and scheduler.
 // Notifications go to sink, on the scheduler goroutine, in tick order.
 // Scripts installed on the same cadence at the same phase
-// form one group driven by one trigger-wheel entry: a scan tick
+// form one group driven by one Scheduler.Every chain: a scan tick
 // drains the group's dirty set — the slots webmail marked because
 // their mailbox changed — and a heartbeat tick is one loop over the
 // group's live scripts. A quiet account therefore costs nothing per
-// scan tick, and the wheel holds a handful of entries however many
-// accounts are instrumented.
+// scan tick, and the scheduler carries a handful of chains however
+// many accounts are instrumented.
 func NewRuntime(svc *webmail.Service, sched *simtime.Scheduler, sink Notifier) *Runtime {
 	if svc == nil || sched == nil || sink == nil {
 		panic("appscript: NewRuntime requires service, scheduler and notifier")
@@ -206,23 +205,6 @@ func NewRuntime(svc *webmail.Service, sched *simtime.Scheduler, sink Notifier) *
 		scans:       make(map[groupKey]*group),
 		beats:       make(map[groupKey]*group),
 		quotaSender: "apps-script-notifications@platform.example",
-	}
-}
-
-// UseWheel rebinds the runtime's triggers onto a shared wheel (one per
-// shard scheduler in the honeynet, so the runtime and the monitor pool
-// their event chains). The wheel must drive the runtime's scheduler.
-// Must be called before the first Install — installed groups cannot
-// be moved between wheels, so a late rebind panics instead of
-// silently splitting the trigger chains.
-func (r *Runtime) UseWheel(w *simtime.TriggerWheel) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.scripts) > 0 {
-		panic("appscript: UseWheel after Install would strand existing triggers")
-	}
-	if w != nil {
-		r.wheel = w
 	}
 }
 
@@ -286,17 +268,14 @@ func keyAt(interval time.Duration, nowNS int64) groupKey {
 	return k
 }
 
-// armLocked registers a new group's wheel entry — it lands in the
-// wheel bucket of the same (interval, phase) — and publishes the
+// armLocked starts a new group's Every chain — registered now, it
+// ticks on the group's (interval, phase) lattice — and publishes the
 // group. An armed group is left alone. Callers hold r.mu.
 func (r *Runtime) armLocked(groups map[groupKey]*group, g *group, name string, tick func(*group, time.Time)) {
 	if g.stop != nil {
 		return
 	}
-	if r.wheel == nil {
-		r.wheel = simtime.NewTriggerWheel(r.sched)
-	}
-	g.stop = r.wheel.Every(time.Duration(g.key.intervalNS), name, func(now time.Time) { tick(g, now) })
+	g.stop = r.sched.Every(time.Duration(g.key.intervalNS), name, func(now time.Time) { tick(g, now) })
 	groups[g.key] = g
 }
 
@@ -308,7 +287,7 @@ func (g *group) add(sc *script) int {
 }
 
 // leaveLocked vacates a slot; the last script out stops the group's
-// wheel entry and drops the group. Vacated slots are not reused, which
+// chain and drops the group. Vacated slots are not reused, which
 // would break registration order, nor compacted: only reinstalls and
 // uninstalls vacate them, and those are rare (Leak's two quota case
 // studies). Callers hold r.mu.
@@ -364,7 +343,7 @@ func (r *Runtime) Discoverable(account string) bool {
 	return ok && !sc.opts.Hidden
 }
 
-// scanTick is a scan group's wheel callback: it scans exactly the
+// scanTick is a scan group's chain callback: it scans exactly the
 // scripts whose slot webmail marked since the previous tick, plus any
 // whose quota notice is due, in registration (slot) order. A quiet
 // group costs one atomic load per 64 scripts.
@@ -446,7 +425,7 @@ func (r *Runtime) scan(sc *script, now time.Time) {
 	notify(NoteQuota, 0, "")
 }
 
-// heartbeatTick is a heartbeat group's wheel callback: one loop over
+// heartbeatTick is a heartbeat group's chain callback: one loop over
 // the group's live scripts emitting the daily liveness signal. A
 // suspended account's scripts still run in the paper's observations,
 // so the heartbeat keeps flowing; the monitor learns about suspension

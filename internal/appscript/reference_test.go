@@ -17,14 +17,34 @@ import (
 
 // refPoller is the per-account polling design the Runtime replaced,
 // kept as the test oracle: every script owns its own scan and
-// heartbeat entries on a trigger wheel, and every scan tick checks the
-// script's mailbox version, diffing only when it moved. The quota
-// notice is due on the QuotaScans-th tick the script is eligible for.
+// heartbeat entries, and every scan tick checks the script's mailbox
+// version, diffing only when it moved. The quota notice is due on the
+// QuotaScans-th tick the script is eligible for.
 type refPoller struct {
 	svc     *webmail.Service
-	wheel   *simtime.TriggerWheel
+	sched   *simtime.Scheduler
 	sink    Notifier
 	scripts map[string]*refScript
+	chains  map[[2]int64]*refChain // by (interval, phase) in ns
+}
+
+// refChain fans one Scheduler.Every chain out to the per-script
+// entries registered on its (interval, phase), in registration order,
+// so the oracle drives its scheduler through one event per cadence
+// tick, as the Runtime's trigger groups do.
+type refChain struct {
+	entries []*refEntry
+	live    int
+	stop    func()
+}
+
+type refEntry struct {
+	fn func(now time.Time)
+	// notBeforeNS is registration time + interval: an entry that joins
+	// at the instant its chain's tick is due, before the tick runs,
+	// still waits one full interval.
+	notBeforeNS int64
+	stopped     bool
 }
 
 type refScript struct {
@@ -38,7 +58,39 @@ type refScript struct {
 }
 
 func newRefPoller(svc *webmail.Service, sched *simtime.Scheduler, sink Notifier) *refPoller {
-	return &refPoller{svc: svc, wheel: simtime.NewTriggerWheel(sched), sink: sink, scripts: map[string]*refScript{}}
+	return &refPoller{svc: svc, sched: sched, sink: sink, scripts: map[string]*refScript{}, chains: map[[2]int64]*refChain{}}
+}
+
+// every registers fn on its (interval, phase) chain, starting the
+// chain if it is new; the last entry's stop also stops the chain.
+func (p *refPoller) every(interval time.Duration, fn func(now time.Time)) (stop func()) {
+	nowNS := p.sched.Now().UnixNano()
+	key := [2]int64{int64(interval), nowNS % int64(interval)}
+	c := p.chains[key]
+	if c == nil {
+		c = &refChain{}
+		p.chains[key] = c
+		c.stop = p.sched.Every(interval, "ref", func(now time.Time) {
+			for _, e := range c.entries {
+				if !e.stopped && e.notBeforeNS <= now.UnixNano() {
+					e.fn(now)
+				}
+			}
+		})
+	}
+	e := &refEntry{fn: fn, notBeforeNS: nowNS + int64(interval)}
+	c.entries = append(c.entries, e)
+	c.live++
+	return func() {
+		if e.stopped {
+			return
+		}
+		e.stopped = true
+		if c.live--; c.live == 0 {
+			c.stop()
+			delete(p.chains, key)
+		}
+	}
 }
 
 func (p *refPoller) Install(account string, opts Options) error {
@@ -48,8 +100,8 @@ func (p *refPoller) Install(account string, opts Options) error {
 	}
 	p.Uninstall(account)
 	sc := &refScript{account: account, opts: opts.withDefaults(), lastSnap: snap, lastVersion: p.svc.Version(account)}
-	sc.stopScan = p.wheel.Every(sc.opts.ScanInterval, "ref-scan", func(now time.Time) { p.scan(sc, now) })
-	sc.stopBeat = p.wheel.Every(sc.opts.HeartbeatInterval, "ref-beat", func(now time.Time) {
+	sc.stopScan = p.every(sc.opts.ScanInterval, func(now time.Time) { p.scan(sc, now) })
+	sc.stopBeat = p.every(sc.opts.HeartbeatInterval, func(now time.Time) {
 		p.sink.Notify(Notification{Time: now, Account: account, Kind: NoteHeartbeat})
 	})
 	p.scripts[account] = sc

@@ -72,8 +72,8 @@ type DefenderOutcome struct {
 func (e *Experiment) DefenderEnabled() bool { return e.cfg.DefenderCadence > 0 }
 
 // armDefenders builds each shard's watch list (that shard's accounts,
-// in plan order) and puts the periodic C3 check on the shard's
-// trigger wheel. Called at the end of Leak: the wheel chains at the
+// in plan order) and starts the periodic C3 check on the shard's
+// scheduler. Called at the end of Leak: the periodic chains at the
 // snapshot boundary stay exactly what a defender-free build arms, so
 // snapshots and their descriptors are unchanged by the subsystem.
 func (e *Experiment) armDefenders() {
@@ -95,7 +95,7 @@ func (e *Experiment) armDefenders() {
 				})
 			}
 		}
-		d.stop = sh.wheel.Every(e.cfg.DefenderCadence, "defender-check", d.tick)
+		d.stop = sh.sched.Every(e.cfg.DefenderCadence, "defender-check", d.tick)
 		sh.def = d
 	}
 }

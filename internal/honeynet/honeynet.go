@@ -89,7 +89,7 @@ type Config struct {
 	// account's leaked credential and, on a hit, resets the password —
 	// cutting every live attacker session off. Zero (the default)
 	// disables the subsystem entirely: no fragments are built, no
-	// wheel chain is armed, and every dataset and report is
+	// periodic chain is armed, and every dataset and report is
 	// byte-identical to a run without it.
 	DefenderCadence time.Duration
 	// C3BucketBits is the k-anonymity prefix width of the C3
@@ -425,7 +425,7 @@ func (e *Experiment) setupLegacy(n int, locale corpus.Locale) error {
 // Config.SetupWorkers pool.
 // Each goroutine walks its own shard's blocks in plan order, so every
 // scheduler-visible sequence — webmail partition layout, script
-// installs, trigger-wheel registrations, monitor tracking — is
+// installs, periodic-chain registrations, monitor tracking — is
 // exactly the serial one, which is what keeps snapshots and reports
 // byte-identical at any worker count (determinism contract #6).
 func (e *Experiment) setupParallel(n int, locale corpus.Locale) error {

@@ -44,13 +44,12 @@ import (
 type shard struct {
 	id    int
 	clock *simtime.Clock
-	sched *simtime.Scheduler
-	// wheel batches every same-cadence periodic trigger on this shard
-	// (the Apps-Script runtime's scan and heartbeat groups, the monitor
-	// scrape, the defender) onto one scheduler event per tick. It holds
-	// a handful of callbacks, not one per account: the runtime fans a
-	// group tick out to its accounts itself.
-	wheel   *simtime.TriggerWheel
+	// sched runs every event of this shard's blocks. Its periodic
+	// chains — one per Apps-Script scan and heartbeat group, the
+	// monitor scrape and the defender check — are a handful, not one
+	// per account: the runtime fans a group tick out to its accounts
+	// itself.
+	sched   *simtime.Scheduler
 	sink    *sinkhole.Store
 	store   *monitor.Store
 	runtime *appscript.Runtime
@@ -94,7 +93,6 @@ func newShards(n int, cfg Config, svc *webmail.Service, monEP netsim.Endpoint) (
 			id:    i,
 			clock: clock,
 			sched: sched,
-			wheel: simtime.NewTriggerWheel(sched),
 			sink:  sinkhole.NewStore(clock.Now),
 			store: monitor.NewStore(),
 		}
@@ -111,14 +109,12 @@ func newShards(n int, cfg Config, svc *webmail.Service, monEP netsim.Endpoint) (
 		sh.sc = analysis.NewStreamClassifier(analysis.StreamConfig{})
 		sh.store.SetSink(&streamSink{sc: sh.sc})
 		sh.runtime = appscript.NewRuntime(svc, sh.sched, sh.store)
-		sh.runtime.UseWheel(sh.wheel)
 		sh.mon = monitor.New(monitor.Config{
 			Service:            svc,
 			Scheduler:          sh.sched,
 			Store:              sh.store,
 			Endpoint:           monEP,
 			Cookies:            netsim.NewCookieJarPrefixed(fmt.Sprintf("mon%d", i)),
-			Wheel:              sh.wheel,
 			DisableVersionGate: cfg.scrapeEverything,
 		})
 		shards[i] = sh

@@ -241,9 +241,9 @@ func TestPlanTooLargeForTenancyRejected(t *testing.T) {
 }
 
 // TestWheelHoldsNoPerAccountEntries: after Setup and Leak (which
-// reinstalls two scripts with a quota), each shard's trigger wheel
-// carries one callback per Apps-Script trigger group plus the monitor
-// scrape — a handful of entries, however many accounts the shard
+// reinstalls two scripts with a quota), each shard's scheduler carries
+// one periodic chain per Apps-Script trigger group plus the monitor
+// scrape — a handful of chains, however many accounts the shard
 // instruments.
 func TestWheelHoldsNoPerAccountEntries(t *testing.T) {
 	cfg := fastConfig(5)
@@ -260,14 +260,14 @@ func TestWheelHoldsNoPerAccountEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sh := range e.shards {
-		chains := sh.wheel.Chains()
+		chains := sh.sched.Chains()
 		entries := 0
 		for _, c := range chains {
 			entries += c.Entries
 		}
 		// Scan group, heartbeat group, monitor scrape.
 		if len(chains) != 3 || entries != 3 {
-			t.Fatalf("shard %d wheel: %+v; want 3 chains of one entry each", sh.id, chains)
+			t.Fatalf("shard %d chains: %+v; want 3 chains of one entry each", sh.id, chains)
 		}
 	}
 }

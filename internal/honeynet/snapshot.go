@@ -23,7 +23,7 @@ import (
 // is the one point where every pending scheduler event is a periodic
 // trigger the engine knows how to re-arm, so the snapshot stores the
 // closure-free state (accounts, plan, stream positions) plus
-// verifiable descriptors of the scheduler/wheel/cursor state, and
+// verifiable descriptors of the scheduler/chain/cursor state, and
 // Resume replays the instrumentation sequence and checks the rebuilt
 // descriptors match — erroring loudly instead of diverging silently.
 // Determinism guarantee #5 (see ARCHITECTURE.md): save → load →
@@ -259,7 +259,7 @@ func (e *Experiment) snapshotMeta() (*snapshot.State, error) {
 			Fired:   sh.sched.Fired(),
 			Pending: sh.sched.Len(),
 		}
-		for _, c := range sh.wheel.Chains() {
+		for _, c := range sh.sched.Chains() {
 			ss.Chains = append(ss.Chains, snapshot.Chain{
 				IntervalNS: c.IntervalNS, PhaseNS: c.PhaseNS, Entries: c.Entries,
 			})
@@ -443,7 +443,7 @@ func (e *Experiment) restoreSetup(st *snapshot.State) error {
 
 // verifyRestored checks the re-armed runtime state against the
 // snapshot's descriptors: monitor cursors always; scheduler and
-// trigger-wheel state whenever the resumed experiment re-arms the
+// periodic-chain state whenever the resumed experiment re-arms the
 // same layout the snapshot recorded — same shard count, same
 // plan/scale AND same scan/scrape cadences. A fork with a different
 // plan or shard count redistributes accounts across shards, and one
@@ -489,7 +489,7 @@ func (e *Experiment) verifyRestored(st *snapshot.State) error {
 			Fired:   sh.sched.Fired(),
 			Pending: sh.sched.Len(),
 		}
-		for _, c := range sh.wheel.Chains() {
+		for _, c := range sh.sched.Chains() {
 			got.Chains = append(got.Chains, snapshot.Chain{IntervalNS: c.IntervalNS, PhaseNS: c.PhaseNS, Entries: c.Entries})
 		}
 		if !reflect.DeepEqual(got, want) {

@@ -226,7 +226,6 @@ type tracked struct {
 type Monitor struct {
 	svc   *webmail.Service
 	sched *simtime.Scheduler
-	wheel *simtime.TriggerWheel
 	store *Store
 
 	// SelfCity is where the monitoring infrastructure runs; §4.1
@@ -260,11 +259,6 @@ type Config struct {
 	// values are independent of cross-shard interleaving; nil falls
 	// back to the platform's jar.
 	Cookies *netsim.CookieJar
-	// Wheel, when set, batches the periodic scrape onto a shared
-	// trigger wheel (the honeynet passes each shard's wheel so the
-	// scraper and the Apps-Script runtime pool scheduler events); nil
-	// gives the monitor a private wheel on its scheduler.
-	Wheel *simtime.TriggerWheel
 	// DisableVersionGate turns off the version gate: every scrape
 	// tick logs into every tracked account and copies the full
 	// activity page, changed or not. The observed dataset is identical
@@ -278,14 +272,9 @@ func New(cfg Config) *Monitor {
 	if cfg.Service == nil || cfg.Scheduler == nil || cfg.Store == nil {
 		panic("monitor: Service, Scheduler and Store are required")
 	}
-	wheel := cfg.Wheel
-	if wheel == nil {
-		wheel = simtime.NewTriggerWheel(cfg.Scheduler)
-	}
 	return &Monitor{
 		svc:      cfg.Service,
 		sched:    cfg.Scheduler,
-		wheel:    wheel,
 		store:    cfg.Store,
 		selfCity: cfg.Endpoint.City,
 		endpoint: cfg.Endpoint,
@@ -360,7 +349,7 @@ func (m *Monitor) MonitorCookies() map[string]bool {
 // Start begins periodic scraping at the given interval; call the
 // returned stop function (or Stop) to end it.
 func (m *Monitor) Start(interval time.Duration) func() {
-	stop := m.wheel.Every(interval, "monitor-scrape", func(now time.Time) {
+	stop := m.sched.Every(interval, "monitor-scrape", func(now time.Time) {
 		m.ScrapeAll(now)
 	})
 	m.mu.Lock()

@@ -77,15 +77,15 @@ func TestShardSetEmpty(t *testing.T) {
 	}
 }
 
-// TestSchedulerConcurrentEveryCancel hammers Every/Cancel/At from many
-// goroutines while a single driver steps the scheduler — the contract
-// is: scheduling is safe from any goroutine, Run/Step from one. Run
-// with -race to catch lock violations.
+// TestSchedulerConcurrentEveryCancel hammers Every/stop/After and
+// Chains from many goroutines while a single driver steps the
+// scheduler — the contract is: scheduling is safe from any goroutine,
+// Run/Step from one. Run with -race to catch lock violations.
 func TestSchedulerConcurrentEveryCancel(t *testing.T) {
 	start := testStart()
 	s := NewScheduler(NewClock(start))
 
-	var fired, stopped atomic.Int64
+	var fired atomic.Int64
 	var wg sync.WaitGroup
 	done := make(chan struct{})
 
@@ -107,19 +107,16 @@ func TestSchedulerConcurrentEveryCancel(t *testing.T) {
 	}()
 
 	// Concurrent schedulers: Every loops started and stopped from
-	// other goroutines, plus one-shot events cancelled mid-flight.
+	// other goroutines, one-shot events, and fingerprint reads.
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				stop := s.Every(time.Second, "every", func(time.Time) { fired.Add(1) })
-				e := s.After(time.Duration(i+1)*time.Millisecond, "oneshot", func(time.Time) { fired.Add(1) })
-				if s.Cancel(e) {
-					stopped.Add(1)
-				}
-				if s.Cancel(e) {
-					t.Error("double-cancel reported true")
+				s.After(time.Duration(i+1)*time.Millisecond, "oneshot", func(time.Time) { fired.Add(1) })
+				if len(s.Chains()) == 0 {
+					t.Error("live chain missing from the fingerprint")
 				}
 				stop()
 				stop() // stopping twice must be harmless
@@ -132,8 +129,11 @@ func TestSchedulerConcurrentEveryCancel(t *testing.T) {
 	close(done)
 	wg.Wait()
 
-	if stopped.Load() == 0 {
-		t.Fatal("no cancellations took effect")
+	if got := s.Chains(); len(got) != 0 {
+		t.Fatalf("every chain stopped, fingerprint still holds %+v", got)
+	}
+	if n := fired.Load(); n < 8*50 {
+		t.Fatalf("fired %d events, want at least the %d one-shots", n, 8*50)
 	}
 }
 

@@ -13,8 +13,10 @@
 package simtime
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,9 +70,6 @@ type Event struct {
 	seq    uint64
 	name   string
 	fn     func(now time.Time)
-
-	index    int // heap index, -1 when popped or cancelled
-	canceled bool
 }
 
 // When returns the instant the event is due.
@@ -93,24 +92,15 @@ func (q eventQueue) Less(i, j int) bool {
 	return q[i].seq < q[j].seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
+func (q *eventQueue) Push(x any) { *q = append(*q, x.(*Event)) }
 
 func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
 	*q = old[:n-1]
 	return e
 }
@@ -123,13 +113,20 @@ type Scheduler struct {
 	clock *Clock
 	queue eventQueue
 	seq   uint64
+	// chains counts the live Every chains per (interval, phase): the
+	// structural fingerprint Chains reports.
+	chains map[chainKey]int
 
 	fired atomic.Uint64
 }
 
+// chainKey identifies a periodic cadence: a chain on it fires at
+// instants ≡ phaseNS (mod intervalNS), in nanoseconds.
+type chainKey struct{ intervalNS, phaseNS int64 }
+
 // NewScheduler returns a Scheduler driving the given clock.
 func NewScheduler(clock *Clock) *Scheduler {
-	return &Scheduler{clock: clock}
+	return &Scheduler{clock: clock, chains: make(map[chainKey]int)}
 }
 
 // Clock returns the clock the scheduler advances.
@@ -160,8 +157,7 @@ func (s *Scheduler) Seq() uint64 {
 
 // At schedules fn to run at instant t. Events scheduled in the past
 // fire immediately on the next Step (the clock never goes backwards;
-// such events observe the current time). The returned *Event may be
-// passed to Cancel.
+// such events observe the current time).
 func (s *Scheduler) At(t time.Time, name string, fn func(now time.Time)) *Event {
 	if fn == nil {
 		panic("simtime: At called with nil function")
@@ -191,12 +187,21 @@ func (s *Scheduler) After(d time.Duration, name string, fn func(now time.Time)) 
 // — exactly the (when, seq) a newly scheduled event would get, so
 // Seq, Fired and Len count as if every tick were its own event — and
 // a steady-state tick allocates nothing. After stop, the pending tick
-// still pops (and counts as fired) but does not call fn. Periodic
-// triggers that share a cadence should share a chain via a
-// TriggerWheel rather than each calling Every.
+// still pops (and counts as fired) but does not call fn. Stop may be
+// called from inside fn; calls after the first are no-ops.
+//
+// Chains registered at the same instant on the same interval fire in
+// registration order (heap ties break by sequence), and a chain
+// registered at the instant another chain's tick is due, before that
+// tick runs, still waits one full interval. A caller with many
+// same-cadence periodic jobs should fan them out from one chain of its
+// own, as the Apps-Script runtime does for its trigger groups.
 func (s *Scheduler) Every(interval time.Duration, name string, fn func(now time.Time)) (stop func()) {
 	if interval <= 0 {
 		panic("simtime: Every requires a positive interval")
+	}
+	if fn == nil {
+		panic("simtime: Every called with nil function")
 	}
 	var stopped atomic.Bool
 	e := &Event{name: name}
@@ -209,24 +214,56 @@ func (s *Scheduler) Every(interval time.Duration, name string, fn func(now time.
 			s.push(e, s.clock.nowNanos()+int64(interval))
 		}
 	}
-	s.push(e, s.clock.nowNanos()+int64(interval))
-	return func() { stopped.Store(true) }
-}
-
-// Cancel removes a pending event. Cancelling an event that already
-// fired (or was cancelled) is a no-op and returns false.
-func (s *Scheduler) Cancel(e *Event) bool {
-	if e == nil {
-		return false
+	nowNS := s.clock.nowNanos()
+	key := chainKey{intervalNS: int64(interval), phaseNS: nowNS % int64(interval)}
+	if key.phaseNS < 0 {
+		key.phaseNS += key.intervalNS
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e.canceled || e.index < 0 {
-		return false
+	s.chains[key]++
+	s.mu.Unlock()
+	s.push(e, nowNS+int64(interval))
+	return func() {
+		if !stopped.CompareAndSwap(false, true) {
+			return
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.chains[key]--; s.chains[key] == 0 {
+			delete(s.chains, key)
+		}
 	}
-	e.canceled = true
-	heap.Remove(&s.queue, e.index)
-	return true
+}
+
+// ChainState describes the live Every chains on one (interval, phase)
+// key: their cadence and how many there are. Pending events carry
+// closures, so a chain cannot cross a process boundary — instead the
+// snapshot engine serializes these descriptors and, after the resumed
+// experiment re-arms its own triggers, verifies the rebuilt scheduler
+// has chain-for-chain identical state.
+type ChainState struct {
+	IntervalNS int64
+	PhaseNS    int64
+	Entries    int
+}
+
+// Chains returns the live Every chains grouped by (interval, phase)
+// and sorted by it — a deterministic structural fingerprint of the
+// scheduler's periodic work.
+func (s *Scheduler) Chains() []ChainState {
+	s.mu.Lock()
+	out := make([]ChainState, 0, len(s.chains))
+	for k, n := range s.chains {
+		out = append(out, ChainState{IntervalNS: k.intervalNS, PhaseNS: k.phaseNS, Entries: n})
+	}
+	s.mu.Unlock()
+	slices.SortFunc(out, func(a, b ChainState) int {
+		if c := cmp.Compare(a.IntervalNS, b.IntervalNS); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.PhaseNS, b.PhaseNS)
+	})
+	return out
 }
 
 // pop removes and returns the earliest pending event, or nil.
@@ -296,15 +333,4 @@ func (s *Scheduler) RunUntil(deadline time.Time) int {
 // at the current instant. It returns the number of events executed.
 func (s *Scheduler) RunFor(d time.Duration) int {
 	return s.RunUntil(s.clock.Now().Add(d))
-}
-
-// Drain executes every pending event regardless of timestamp, up to
-// the given maximum (a safety valve against self-perpetuating
-// schedules such as Every loops). It returns the number executed.
-func (s *Scheduler) Drain(max int) int {
-	n := 0
-	for n < max && s.Step() {
-		n++
-	}
-	return n
 }

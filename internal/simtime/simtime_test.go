@@ -91,29 +91,6 @@ func TestSchedulerRunUntilLeavesLaterEvents(t *testing.T) {
 	}
 }
 
-func TestSchedulerCancel(t *testing.T) {
-	s := NewScheduler(NewClock(t0))
-	ran := false
-	e := s.After(time.Hour, "x", func(time.Time) { ran = true })
-	if !s.Cancel(e) {
-		t.Fatal("Cancel returned false for pending event")
-	}
-	if s.Cancel(e) {
-		t.Fatal("second Cancel returned true")
-	}
-	s.RunFor(2 * time.Hour)
-	if ran {
-		t.Fatal("cancelled event still ran")
-	}
-}
-
-func TestSchedulerCancelNil(t *testing.T) {
-	s := NewScheduler(NewClock(t0))
-	if s.Cancel(nil) {
-		t.Fatal("Cancel(nil) returned true")
-	}
-}
-
 func TestEvery(t *testing.T) {
 	s := NewScheduler(NewClock(t0))
 	n := 0
@@ -173,15 +150,6 @@ func TestPastDueEventObservesCurrentTime(t *testing.T) {
 	s.Step()
 	if !seen.Equal(t0.Add(time.Hour)) {
 		t.Fatalf("past-due event saw %v, want clock time %v", seen, t0.Add(time.Hour))
-	}
-}
-
-func TestDrainCap(t *testing.T) {
-	s := NewScheduler(NewClock(t0))
-	s.Every(time.Minute, "forever", func(time.Time) {})
-	n := s.Drain(25)
-	if n != 25 {
-		t.Fatalf("Drain executed %d, want capped 25", n)
 	}
 }
 

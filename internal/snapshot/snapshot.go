@@ -5,9 +5,9 @@
 // A snapshot captures everything the setup phase produced — the full
 // webmail account stores (mailboxes, folders, flags), the compiled
 // deployment plan, the rng stream positions, and the observable state
-// of every shard's scheduler, trigger wheel and monitor cursor — as
+// of every shard's scheduler, periodic chains and monitor cursor — as
 // pure data. Pending scheduler events carry closures and cannot cross
-// a process boundary, so the scheduler/wheel/cursor sections are
+// a process boundary, so the scheduler/chain/cursor sections are
 // stored as verifiable descriptors: honeynet.Resume re-arms the
 // triggers by replaying the instrumentation sequence and then checks
 // the rebuilt state against these descriptors, erroring on any drift
@@ -68,7 +68,7 @@ type State struct {
 	Plan     []Block   // the un-expanded deployment plan
 	Root     Stream    // experiment root stream at the boundary
 	Setup    Stream    // setup stream at its final position (diagnostic)
-	Shards   []Shard   // per-shard scheduler/wheel descriptors
+	Shards   []Shard   // per-shard scheduler/chain descriptors
 	Cursors  []Cursor  // monitor scrape cursors, sorted by account
 	Defender []Cursor  // defender detection cursors (empty: defender off)
 	Accounts []Account // full account stores, in plan order
@@ -142,9 +142,10 @@ type Shard struct {
 	Chains  []Chain
 }
 
-// Chain is one trigger-wheel bucket descriptor. Entries counts the
-// callbacks riding the bucket: the monitor scrape, the defender, and
-// one per Apps-Script trigger group — not one per account.
+// Chain describes the periodic scheduler chains on one (interval,
+// phase) key. Entries counts the live chains on it: the monitor
+// scrape, the defender, and one per Apps-Script trigger group — not
+// one per account.
 type Chain struct {
 	IntervalNS int64
 	PhaseNS    int64

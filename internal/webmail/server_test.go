@@ -206,6 +206,7 @@ func TestServerDrainFinishesInFlight(t *testing.T) {
 	// An outbound sink the test can block: the "send" request parks
 	// inside Deliver until released, holding the request in flight.
 	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
 	entered := make(chan struct{}, 1)
 	svc := NewService(Config{Clock: clock, Outbound: OutboundFunc(func(string, string, string, string, time.Time) error {
 		entered <- struct{}{}
@@ -221,6 +222,9 @@ func TestServerDrainFinishesInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
+	// Cleanups run last-registered first: a failure before the gate
+	// opens must release the parked send, or Close waits on it forever.
+	t.Cleanup(release)
 
 	space := netsim.NewAddressSpace(rng.New(1), geo.Default())
 	busy := dialT(t, addr)
@@ -280,7 +284,7 @@ func TestServerDrainFinishesInFlight(t *testing.T) {
 
 	// Release the gate: the in-flight send must complete with a real
 	// response, then the drain finishes.
-	close(gate)
+	release()
 	select {
 	case r := <-sent:
 		if r.err != nil || !r.resp.OK {
